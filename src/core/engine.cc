@@ -288,6 +288,7 @@ Status StreamAggEngine::InstallRuntime() {
         ShardedRuntime::Make(schema_, std::move(specs), options_.epoch_seconds,
                              sharded_options));
     sharded_runtime_ = std::move(sharded);
+    sharded_runtime_->AdoptHfta(accumulated_hfta_->TakeEpoch(current_epoch_));
     sharded_runtime_->set_telemetry_level(options_.telemetry_level);
     if (overload_controller_ != nullptr) {
       STREAMAGG_RETURN_NOT_OK(
@@ -302,6 +303,7 @@ Status StreamAggEngine::InstallRuntime() {
       ConfigurationRuntime::Make(schema_, std::move(specs),
                                  options_.epoch_seconds));
   runtime_ = std::move(runtime);
+  runtime_->AdoptHfta(accumulated_hfta_->TakeEpoch(current_epoch_));
   runtime_->set_telemetry_level(options_.telemetry_level);
   if (overload_controller_ != nullptr) {
     STREAMAGG_RETURN_NOT_OK(
@@ -488,22 +490,11 @@ Status StreamAggEngine::HandleEpochBoundary(uint64_t next_epoch) {
       RelationCatalog next_catalog,
       RelationCatalog::Synthetic(schema_, std::move(counts), flow_length));
 
-  // Retire the current runtime at the boundary: flush its epoch, keep its
-  // results and counters, then swap in the re-planned configuration. The
-  // barrier work is timed into the event's merge_millis — the swap-latency
-  // companion to optimize_millis (docs/observability.md).
-  Timer merge_timer;
-  if (runtime_ != nullptr) {
-    runtime_->FlushEpoch();
-    accumulated_hfta_->MergeFrom(runtime_->hfta());
-  } else {
-    // The queues are already drained (Quiesce above); this barrier only
-    // flushes the completed epoch on every shard and re-merges.
-    sharded_runtime_->FlushEpoch();
-    accumulated_hfta_->MergeFrom(sharded_runtime_->hfta());
-  }
-  const double merge_millis = merge_timer.ElapsedMillis();
-  AccumulateCounters();
+  // Retire the current runtime at the boundary: flush its epoch, take over
+  // its results and keep its counters, then swap in the re-planned
+  // configuration. The barrier work is timed into the event's merge_millis
+  // — the swap-latency companion to optimize_millis (docs/observability.md).
+  const double merge_millis = PlanChangeBarrier();
 
   catalog_ = std::make_unique<RelationCatalog>(std::move(next_catalog));
   std::vector<int> drifted_nodes(verdict.drifted_tables.begin(),
@@ -667,24 +658,18 @@ Status StreamAggEngine::Finish() {
     // Short stream: plan from whatever was collected.
     STREAMAGG_RETURN_NOT_OK(PlanFromSample());
   }
-  if (runtime_ != nullptr) {
-    runtime_->FlushEpoch();
-    accumulated_hfta_->MergeFrom(runtime_->hfta());
-    AccumulateCounters();
-    // Preserve the final state before teardown so telemetry() keeps
-    // answering after the stream ends (streamagg_cli --stats).
-    final_snapshot_ = std::make_unique<TelemetrySnapshot>(telemetry());
-    runtime_.reset();
-  } else if (sharded_runtime_ != nullptr) {
-    // Epoch barrier: drains every shard queue, flushes every shard and
-    // merges their HFTAs into one result set.
-    sharded_runtime_->FlushEpoch();
-    accumulated_hfta_->MergeFrom(sharded_runtime_->hfta());
-    AccumulateCounters();
-    // Post-barrier, the shards are quiescent: snapshotting them is safe.
-    final_snapshot_ = std::make_unique<TelemetrySnapshot>(telemetry());
-    sharded_runtime_.reset();
-  }
+  if (runtime_ == nullptr && sharded_runtime_ == nullptr) return Status::OK();
+  // Flush the final epoch (for a sharded runtime: an epoch barrier that
+  // drains every queue, flushes every shard and merges their HFTAs), then
+  // preserve the final state before teardown so telemetry() keeps answering
+  // after the stream ends (streamagg_cli --stats). The snapshot is taken
+  // while the runtime still holds its results, so hfta_groups keeps
+  // counting them.
+  FlushRuntime();
+  final_snapshot_ = std::make_unique<TelemetrySnapshot>(telemetry());
+  TakeRuntimeResults();
+  runtime_.reset();
+  sharded_runtime_.reset();
   return Status::OK();
 }
 
@@ -814,10 +799,10 @@ Result<int> StreamAggEngine::AddParsedQuery(ParsedQuery parsed) {
     replanned_nodes = next->config.num_nodes();
     pinned_nodes = 0;
   }
-  // Quiesce barrier: the epoch in flight is flushed and folded into the
+  // Plan-change barrier: the epoch in flight is flushed and handed to the
   // accumulated results for the pre-existing queries, then the re-planned
   // runtime takes over. The newcomer accumulates from here on.
-  const double merge_millis = ChurnBarrier();
+  const double merge_millis = PlanChangeBarrier();
   const int id = num_query_ids();
   const int dense = static_cast<int>(queries_.size());
   queries_.push_back(def);
@@ -872,12 +857,7 @@ Status StreamAggEngine::DropQuery(int query_id) {
     // epoch in flight into the live HFTA, but do NOT fold it into the
     // accumulated results (that happens when the runtime retires).
     Timer timer;
-    if (sharded_runtime_ != nullptr) {
-      sharded_runtime_->Quiesce();
-      sharded_runtime_->FlushEpoch();
-    } else if (runtime_ != nullptr) {
-      runtime_->FlushEpoch();
-    }
+    FlushRuntime();
     ArchiveQuery(query_id, dense, /*include_live=*/true);
     event.merge_millis = timer.ElapsedMillis();
     event.aliased = true;
@@ -916,7 +896,7 @@ Status StreamAggEngine::DropQuery(int query_id) {
     STREAMAGG_RETURN_NOT_OK(next.status());
     pinned_nodes = 0;
   }
-  event.merge_millis = ChurnBarrier();
+  event.merge_millis = PlanChangeBarrier();
   // The accumulated HFTA now holds everything up to the drop; archive the
   // slot before RemoveDenseSlot remaps it away.
   ArchiveQuery(query_id, dense, /*include_live=*/false);
@@ -932,42 +912,56 @@ Status StreamAggEngine::DropQuery(int query_id) {
   return Status::OK();
 }
 
-double StreamAggEngine::ChurnBarrier() {
+double StreamAggEngine::PlanChangeBarrier() {
   Timer timer;
+  FlushRuntime();
+  TakeRuntimeResults();
+  return timer.ElapsedMillis();
+}
+
+void StreamAggEngine::FlushRuntime() {
   if (sharded_runtime_ != nullptr) {
-    // Quiesce drains the P x S matrix and parks the workers; the flush
-    // then evicts every shard table and re-merges the shard HFTAs.
-    sharded_runtime_->Quiesce();
+    // The flush barrier drains the P x S matrix and parks the workers, then
+    // evicts every shard table into the merged HFTA.
     sharded_runtime_->FlushEpoch();
-    accumulated_hfta_->MergeFrom(sharded_runtime_->hfta());
   } else if (runtime_ != nullptr) {
     runtime_->FlushEpoch();
-    accumulated_hfta_->MergeFrom(runtime_->hfta());
+  }
+}
+
+void StreamAggEngine::TakeRuntimeResults() {
+  if (sharded_runtime_ != nullptr) {
+    accumulated_hfta_->MergeFrom(sharded_runtime_->TakeHfta());
+  } else if (runtime_ != nullptr) {
+    accumulated_hfta_->MergeFrom(runtime_->TakeHfta());
   }
   AccumulateCounters();
-  return timer.ElapsedMillis();
 }
 
 void StreamAggEngine::ArchiveQuery(int query_id, int dense,
                                    bool include_live) {
+  if (!include_live) {
+    // The slot is about to be remapped away: its results move, uncopied.
+    retired_[query_id] = accumulated_hfta_->TakeQuery(dense);
+    return;
+  }
+  // Alias release: the slot lives on for the other ids, so the archive is
+  // a copy of the accumulated and live results.
   std::map<uint64_t, EpochAggregate> archive;
   for (uint64_t e : accumulated_hfta_->Epochs(dense)) {
     archive[e] = accumulated_hfta_->Result(dense, e);
   }
-  if (include_live) {
-    const Hfta* live = runtime_ != nullptr ? &runtime_->hfta()
-                       : sharded_runtime_ != nullptr
-                           ? &sharded_runtime_->hfta()
-                           : nullptr;
-    if (live != nullptr) {
-      for (uint64_t e : live->Epochs(dense)) {
-        EpochAggregate& into = archive[e];
-        for (const auto& [key, state] : live->Result(dense, e)) {
-          auto [it, inserted] = into.try_emplace(key, state);
-          if (!inserted) {
-            it->second.Merge(state, queries_[static_cast<size_t>(dense)]
-                                        .metrics);
-          }
+  const Hfta* live = runtime_ != nullptr ? &runtime_->hfta()
+                     : sharded_runtime_ != nullptr ? &sharded_runtime_->hfta()
+                                                   : nullptr;
+  if (live != nullptr) {
+    for (uint64_t e : live->Epochs(dense)) {
+      EpochAggregate& into = archive[e];
+      for (const auto& [key, state] : live->Result(dense, e)) {
+        auto [it, inserted] = into.try_emplace(key, state);
+        if (!inserted) {
+          it->second.Merge(state,
+                           queries_[static_cast<size_t>(dense)].metrics);
         }
       }
     }

@@ -282,7 +282,11 @@ class StreamAggEngine {
   /// adaptive re-plan, so the plan it sheds against is the live one).
   Status HandleOverloadBoundary();
 
-  /// Builds (or rebuilds) the runtime for `plan_`, carrying the HFTA over.
+  /// Builds (or rebuilds) the runtime for `plan_` and hands it the results
+  /// of the epoch in flight (`current_epoch_`) from accumulated_hfta_ by
+  /// ownership. An epoch cut by a plan change thus lives in one HFTA only:
+  /// EpochResult reads it whole, and the next hand-over splices it back
+  /// without folding rows.
   Status InstallRuntime();
 
   /// Rejects option combinations the engine cannot honor (num_shards or
@@ -295,16 +299,27 @@ class StreamAggEngine {
   /// overloads; `parsed` must carry `def`.
   Result<int> AddParsedQuery(ParsedQuery parsed);
 
-  /// Quiesce-barrier bookkeeping shared by churn swaps: drains a sharded
-  /// matrix, flushes the epoch in flight, folds the retiring runtime's
-  /// HFTA into the accumulated results and accumulates counters. Returns
-  /// the barrier wall-clock (the churn event's merge_millis).
-  double ChurnBarrier();
+  /// The barrier every plan change (adaptive swap, AddQuery, DropQuery)
+  /// runs before the new runtime is installed: FlushRuntime, then
+  /// TakeRuntimeResults. Returns its wall-clock (the event's merge_millis).
+  double PlanChangeBarrier();
 
-  /// Copies query id `query_id`'s per-epoch results (dense slot `dense`)
-  /// out of the accumulated HFTA — and, when `include_live` is set, merged
-  /// with the live runtime's HFTA — into retired_ so the id keeps serving
-  /// reads after its slot is gone.
+  /// Flushes the live runtime's epoch in flight (for a sharded runtime, a
+  /// flush barrier that also drains the P x S matrix).
+  void FlushRuntime();
+
+  /// The live runtime hands its results to accumulated_hfta_ by ownership
+  /// and its counters are accumulated. The two never hold the same epoch
+  /// (see InstallRuntime), so Hfta::MergeFrom(Hfta&&) only moves O(epochs
+  /// held) map nodes; the runtime keeps nothing it could count again at a
+  /// later barrier.
+  void TakeRuntimeResults();
+
+  /// Archives query id `query_id`'s per-epoch results (dense slot `dense`)
+  /// into retired_ so the id keeps serving reads after its slot is gone.
+  /// Without `include_live` the slot is about to disappear and its results
+  /// move out of the accumulated HFTA; with it (an alias release, the slot
+  /// lives on) they are copied and merged with the live runtime's HFTA.
   void ArchiveQuery(int query_id, int dense, bool include_live);
 
   /// Records a churn event (telemetry section + flight-recorder instant).

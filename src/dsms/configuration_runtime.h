@@ -212,6 +212,13 @@ class ConfigurationRuntime {
 
   const RuntimeCounters& counters() const { return counters_; }
   const Hfta& hfta() const { return *hfta_; }
+  /// Hands over every result held so far by ownership (Hfta's move, no row
+  /// copied) and keeps accumulating into an empty HFTA with the same query
+  /// slots. Call FlushEpoch first to include the epoch in flight.
+  Hfta TakeHfta() { return std::move(*hfta_); }
+  /// Takes over `results` by ownership as if this runtime had produced
+  /// them; later evictions of the same (query, epoch) fold into them.
+  void AdoptHfta(Hfta&& results) { hfta_->MergeFrom(std::move(results)); }
   int num_relations() const { return static_cast<int>(specs_.size()); }
   const RuntimeRelationSpec& spec(int i) const { return specs_[i]; }
   const LftaHashTable& table(int i) const { return *tables_[i]; }

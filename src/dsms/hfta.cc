@@ -29,9 +29,50 @@ void Hfta::MergeFrom(const Hfta& other) {
   transfers_ += other.transfers_;
 }
 
+void Hfta::MergeFrom(Hfta&& other) {
+  if (&other == this) return;
+  for (int q = 0; q < num_queries() && q < other.num_queries(); ++q) {
+    std::map<uint64_t, EpochAggregate>& into = per_query_[q];
+    std::map<uint64_t, EpochAggregate>& from = other.per_query_[q];
+    while (!from.empty()) {
+      auto [pos, inserted, node] = into.insert(from.extract(from.begin()));
+      if (inserted) continue;
+      // Both sides hold this (query, epoch): fold the smaller aggregate
+      // into the larger. Every metric op is commutative, so the result
+      // does not depend on which side is folded into which.
+      EpochAggregate& held = pos->second;
+      EpochAggregate& incoming = node.mapped();
+      if (incoming.size() > held.size()) held.swap(incoming);
+      for (const auto& [key, state] : incoming) {
+        auto [it, fresh] = held.try_emplace(key, state);
+        if (!fresh) it->second.Merge(state, metrics_[q]);
+      }
+    }
+  }
+  for (auto& slot : other.per_query_) slot.clear();
+  transfers_ += std::exchange(other.transfers_, 0);
+  ForgetAddTarget();
+  other.ForgetAddTarget();
+}
+
+std::map<uint64_t, EpochAggregate> Hfta::TakeQuery(int query_index) {
+  ForgetAddTarget();
+  return std::exchange(per_query_[query_index], {});
+}
+
+Hfta Hfta::TakeEpoch(uint64_t epoch) {
+  Hfta taken(metrics_);
+  for (size_t q = 0; q < per_query_.size(); ++q) {
+    auto node = per_query_[q].extract(epoch);
+    if (!node.empty()) taken.per_query_[q].insert(std::move(node));
+  }
+  ForgetAddTarget();
+  return taken;
+}
+
 void Hfta::Remap(std::vector<std::vector<MetricSpec>> new_metrics,
                  const std::vector<int>& source) {
-  std::vector<std::map<uint64_t, EpochAggregate>> remapped(new_metrics.size());
+  Slots remapped(new_metrics.size());
   for (size_t i = 0; i < source.size() && i < remapped.size(); ++i) {
     const int from = source[i];
     if (from >= 0 && from < num_queries()) {
@@ -42,8 +83,7 @@ void Hfta::Remap(std::vector<std::vector<MetricSpec>> new_metrics,
   per_query_ = std::move(remapped);
   metrics_ = std::move(new_metrics);
   // The cached Add target pointed into the old per_query_ layout.
-  cached_agg_ = nullptr;
-  cached_query_ = -1;
+  ForgetAddTarget();
 }
 
 uint64_t Hfta::TotalCount(int query_index, uint64_t epoch) const {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "stream/aggregate.h"
@@ -32,28 +33,28 @@ class Hfta {
       : metrics_(std::move(per_query_metrics)),
         per_query_(metrics_.size()) {}
 
-  // The Add cache points into per_query_; copies and moves must not carry
-  // it over (a copied cache would alias the source's maps).
-  Hfta(const Hfta& o)
+  // Whole-history copies are never implicit: a runtime hands its results
+  // on by moving them (MergeFrom(Hfta&&)), and a caller that must keep its
+  // source folds it in by name with MergeFrom(const Hfta&).
+  Hfta(const Hfta&) = delete;
+  Hfta& operator=(const Hfta&) = delete;
+  // A move hands the results over and leaves the source empty but with its
+  // query slots and metric lists, so it keeps taking Adds. Neither side
+  // keeps the Add cache: it points into maps the destination now owns, and
+  // an Add through it on the source would write into the destination.
+  Hfta(Hfta&& o)
       : metrics_(o.metrics_),
-        per_query_(o.per_query_),
-        transfers_(o.transfers_) {}
-  Hfta& operator=(const Hfta& o) {
-    metrics_ = o.metrics_;
-    per_query_ = o.per_query_;
-    transfers_ = o.transfers_;
-    cached_agg_ = nullptr;
-    return *this;
+        per_query_(std::exchange(o.per_query_, Slots(o.per_query_.size()))),
+        transfers_(std::exchange(o.transfers_, 0)) {
+    o.ForgetAddTarget();
   }
-  Hfta(Hfta&& o) noexcept
-      : metrics_(std::move(o.metrics_)),
-        per_query_(std::move(o.per_query_)),
-        transfers_(o.transfers_) {}
-  Hfta& operator=(Hfta&& o) noexcept {
-    metrics_ = std::move(o.metrics_);
-    per_query_ = std::move(o.per_query_);
-    transfers_ = o.transfers_;
-    cached_agg_ = nullptr;
+  Hfta& operator=(Hfta&& o) {
+    if (this == &o) return *this;
+    metrics_ = o.metrics_;
+    per_query_ = std::exchange(o.per_query_, Slots(o.per_query_.size()));
+    transfers_ = std::exchange(o.transfers_, 0);
+    ForgetAddTarget();
+    o.ForgetAddTarget();
     return *this;
   }
 
@@ -64,8 +65,9 @@ class Hfta {
   /// arrive from one runtime epoch at a time — so the per-(query, epoch)
   /// aggregate is cached and the std::map lookup skipped while the target
   /// stays the same. Safe because std::map mapped references are stable
-  /// under insertion and the only operation that reshapes per_query_
-  /// (Remap, on query churn) nulls the cache.
+  /// under insertion, and every operation that reshapes per_query_ or
+  /// moves its maps to another owner (Remap, MergeFrom(Hfta&&), TakeQuery,
+  /// TakeEpoch, moves) nulls the cache.
   void Add(int query_index, uint64_t epoch, const GroupKey& key,
            const AggregateState& state) {
     if (cached_agg_ == nullptr || query_index != cached_query_ ||
@@ -112,10 +114,31 @@ class Hfta {
   uint64_t TotalCount(int query_index, uint64_t epoch) const;
 
   /// Folds all of `other`'s results into this HFTA (same query set and
-  /// metric lists required). Used when a runtime is retired during adaptive
-  /// re-planning and its results must be preserved. Transfer counts are
-  /// accumulated as well.
+  /// metric lists required), row by row, leaving `other` untouched. Costs
+  /// O(rows of `other`); only for callers that must keep their source. A
+  /// retiring runtime hands its results over with the move overload below.
+  /// Transfer counts are accumulated as well.
   void MergeFrom(const Hfta& other);
+
+  /// Takes over all of `other`'s results by ownership. Each (query, epoch)
+  /// aggregate that this HFTA does not hold yet is spliced in as a map node
+  /// (no row is copied or allocated); only a (query, epoch) both sides hold
+  /// is merged row by row, folding the smaller aggregate into the larger.
+  /// The cost is O(epochs of `other` + rows of the overlapping epochs), not
+  /// O(rows held). Adds `other`'s transfer count and leaves `other` empty
+  /// with its query slots and metric lists intact, ready for new Adds.
+  void MergeFrom(Hfta&& other);
+
+  /// Moves every epoch of `query_index` out, leaving the slot empty (a
+  /// dropped query's results handed to its archive without a copy).
+  std::map<uint64_t, EpochAggregate> TakeQuery(int query_index);
+
+  /// Moves `epoch`'s aggregate of every query out into an HFTA with the
+  /// same query slots and metric lists (O(queries) node moves; no transfer
+  /// count moves with them). A plan change hands the epoch in flight on to
+  /// the incoming runtime this way, so the retiring and the incoming
+  /// runtime never hold the same epoch.
+  Hfta TakeEpoch(uint64_t epoch);
 
   /// Rewires the query slots after churn: slot `i` of the remapped HFTA
   /// adopts the results and metric list of old slot `source[i]`, or starts
@@ -128,10 +151,19 @@ class Hfta {
              const std::vector<int>& source);
 
  private:
+  using Slots = std::vector<std::map<uint64_t, EpochAggregate>>;
+
+  /// Drops the Add target cache; required whenever per_query_ changes
+  /// owner or shape.
+  void ForgetAddTarget() {
+    cached_agg_ = nullptr;
+    cached_query_ = -1;
+  }
+
   std::vector<std::vector<MetricSpec>> metrics_;
-  std::vector<std::map<uint64_t, EpochAggregate>> per_query_;
+  Slots per_query_;
   uint64_t transfers_ = 0;
-  /// Last Add target; see Add. Never copied/moved between instances.
+  /// Last Add target; see Add. Never moved between instances.
   EpochAggregate* cached_agg_ = nullptr;
   int cached_query_ = -1;
   uint64_t cached_epoch_ = 0;

@@ -78,11 +78,10 @@ ShardedRuntime::ShardedRuntime(
     : schema_(schema),
       shards_(std::move(shards)),
       partition_attrs_(partition_attrs),
-      per_query_metrics_(std::move(per_query_metrics)),
       epoch_seconds_(epoch_seconds),
       num_producers_(options.num_producers),
       pin_threads_(options.pin_threads),
-      merged_hfta_(std::make_unique<Hfta>(per_query_metrics_)) {
+      merged_hfta_(std::make_unique<Hfta>(std::move(per_query_metrics))) {
   const size_t matrix = static_cast<size_t>(num_producers_) * shards_.size();
   queues_.reserve(matrix);
   staging_.resize(matrix);
@@ -446,8 +445,9 @@ void ShardedRuntime::Quiesce() { RunBarrier(Envelope::Kind::kQuiesce); }
 
 void ShardedRuntime::RunBarrier(Envelope::Kind kind) {
   // Driver-side barrier span (docs/tracing.md): covers staging delivery,
-  // marker propagation, the wait for every shard's ack, and the snapshot
-  // rebuild — the wall-clock cost of one FlushEpoch/Quiesce barrier.
+  // marker propagation, the wait for every shard's ack, and the hand-over
+  // of the shards' new rows — the wall-clock cost of one FlushEpoch/Quiesce
+  // barrier.
   STREAMAGG_TRACE(const uint64_t barrier_start =
                       FlightRecorder::Instance().enabled()
                           ? TelemetryNowNanos()
@@ -474,7 +474,7 @@ void ShardedRuntime::RunBarrier(Envelope::Kind kind) {
   // acknowledged under the barrier mutex, so reading their state here is
   // race-free: nothing else is in their queues (the driver is the only
   // thread pushing, and the helpers are parked).
-  RebuildMergedSnapshot();
+  AbsorbShards();
   STREAMAGG_TRACE(if (barrier_start != 0) {
     FlightRecorder::Instance().RecordSpan(
         TraceEventType::kBarrier, barrier_start, shards_[0]->current_epoch(),
@@ -482,11 +482,10 @@ void ShardedRuntime::RunBarrier(Envelope::Kind kind) {
   });
 }
 
-void ShardedRuntime::RebuildMergedSnapshot() {
-  merged_hfta_ = std::make_unique<Hfta>(per_query_metrics_);
+void ShardedRuntime::AbsorbShards() {
   merged_counters_ = RuntimeCounters{};
   for (const auto& shard : shards_) {
-    merged_hfta_->MergeFrom(shard->hfta());
+    merged_hfta_->MergeFrom(shard->TakeHfta());
     merged_counters_.Add(shard->counters());
   }
 }

@@ -52,6 +52,8 @@ struct ShardIngestStats {
 ///    returning, so the multi-producer fan-out is invisible to the caller.
 ///  * hfta() and counters() return the snapshot merged at the last
 ///    FlushEpoch barrier; they are stable (race-free) between barriers.
+///    Each barrier moves the rows the shards evicted since the previous one
+///    into the merged HFTA, so a shard's own hfta() holds only those rows.
 ///  * shard(i) exposes a shard's runtime for inspection and is only safe
 ///    to read between FlushEpoch (or construction) and the next
 ///    ProcessRecord/ProcessBatch, while the workers are quiescent. The same
@@ -137,13 +139,13 @@ class ShardedRuntime {
   void ProcessTrace(const Trace& trace);
 
   /// Epoch barrier: quiesces the producers, drains every queue of the
-  /// P x S matrix, flushes every shard's current epoch, and rebuilds the
-  /// merged HFTA/counters snapshot. Blocks the caller until all shards have
-  /// acknowledged.
+  /// P x S matrix, flushes every shard's current epoch, hands each shard's
+  /// new HFTA rows over to the merged HFTA and re-sums the counters. Blocks
+  /// the caller until all shards have acknowledged.
   void FlushEpoch();
 
   /// Quiescence barrier *without* flushing: drains every queue of the
-  /// matrix and rebuilds the merged snapshot, but leaves each shard's LFTA
+  /// matrix and updates the merged snapshot, but leaves each shard's LFTA
   /// tables mid-epoch (occupied). This is the barrier the adaptive engine
   /// snapshots and estimates statistics at — table occupancy is the
   /// group-count signal, and an epoch flush would destroy it. After the
@@ -153,6 +155,15 @@ class ShardedRuntime {
 
   /// Merged results across shards, as of the last FlushEpoch barrier.
   const Hfta& hfta() const { return *merged_hfta_; }
+  /// Hands the merged results over by ownership and leaves hfta() empty
+  /// until the next barrier adds the rows evicted after it. Call FlushEpoch
+  /// first to include the epoch in flight.
+  Hfta TakeHfta() { return std::move(*merged_hfta_); }
+  /// Takes over `results` by ownership into the merged HFTA; the shards'
+  /// rows of the same (query, epoch) fold into them at the next barrier.
+  void AdoptHfta(Hfta&& results) {
+    merged_hfta_->MergeFrom(std::move(results));
+  }
   /// Aggregated counters across shards, as of the last FlushEpoch barrier.
   const RuntimeCounters& counters() const { return merged_counters_; }
 
@@ -277,17 +288,17 @@ class ShardedRuntime {
   void FlushStaging();
   /// Shared body of FlushEpoch/Quiesce: delivers staged records, pushes one
   /// `kind` marker down every queue of the matrix, waits for every shard's
-  /// acknowledgement, then rebuilds the merged snapshot.
+  /// acknowledgement, then updates the merged snapshot.
   void RunBarrier(Envelope::Kind kind);
   void WorkerLoop(int shard);
   void ProducerLoop(int producer);
-  /// Rebuilds merged_hfta_/merged_counters_ from the quiescent shards.
-  void RebuildMergedSnapshot();
+  /// Moves the quiescent shards' HFTA rows into merged_hfta_ (rows evicted
+  /// since the previous barrier only) and re-sums merged_counters_.
+  void AbsorbShards();
 
   Schema schema_;
   std::vector<std::unique_ptr<ConfigurationRuntime>> shards_;
   AttributeSet partition_attrs_;
-  std::vector<std::vector<MetricSpec>> per_query_metrics_;
   double epoch_seconds_ = 0.0;
   int num_producers_ = 1;
 

@@ -1,8 +1,9 @@
 // Batched-ingest correctness: ProcessBatch over any batch split must be
 // bit-identical to per-record ProcessRecord — same HFTA results, same
 // counters — serial and sharded, on Zipf and flow traces. Also verifies the
-// zero-allocation claim for the steady-state batched path by hooking the
-// global allocator.
+// zero-allocation claim for the steady-state batched path, and that an HFTA
+// hand-over allocates per epoch rather than per row, by hooking the global
+// allocator.
 
 #include <atomic>
 #include <cstdlib>
@@ -15,6 +16,7 @@
 #include "core/configuration.h"
 #include "core/engine.h"
 #include "dsms/configuration_runtime.h"
+#include "dsms/hfta.h"
 #include "dsms/sharded_runtime.h"
 #include "stream/flow_generator.h"
 #include "stream/zipf_generator.h"
@@ -318,6 +320,47 @@ TEST(BatchedIngestAllocationTest, SteadyStateBatchedPathAllocatesNothing) {
   EXPECT_EQ(runtime->table(0).collisions(), collisions_before);
   EXPECT_EQ(allocations_after - allocations_before, 0u)
       << "steady-state ProcessBatch allocated";
+}
+
+TEST(BatchedIngestTest, HftaHandOverAllocatesPerEpochNotPerRow) {
+  // A retiring runtime hands its HFTA over by ownership: absorbing N
+  // disjoint epochs of R rows moves N map nodes and allocates at most O(N)
+  // times, never once per row. The copying MergeFrom, for contrast, must
+  // allocate per row — which also shows the hook sees these allocations.
+  constexpr uint64_t kEpochs = 16;
+  constexpr uint32_t kRows = 2000;
+  const auto fill = [&](Hfta& hfta, uint64_t first_epoch) {
+    for (uint64_t e = first_epoch; e < first_epoch + kEpochs; ++e) {
+      for (uint32_t v = 0; v < kRows; ++v) {
+        GroupKey key;
+        key.size = 1;
+        key.values[0] = v;
+        hfta.Add(0, e, key, AggregateState::FromCount(1));
+      }
+    }
+  };
+  Hfta held(1);
+  fill(held, 0);
+  Hfta retiring(1);
+  fill(retiring, kEpochs);
+  Hfta copy_target(1);
+
+  const uint64_t before_copy = g_allocations.load(std::memory_order_relaxed);
+  copy_target.MergeFrom(static_cast<const Hfta&>(retiring));
+  const uint64_t copy_allocations =
+      g_allocations.load(std::memory_order_relaxed) - before_copy;
+  EXPECT_GE(copy_allocations, kEpochs * kRows);
+
+  const uint64_t before_move = g_allocations.load(std::memory_order_relaxed);
+  held.MergeFrom(std::move(retiring));
+  const uint64_t move_allocations =
+      g_allocations.load(std::memory_order_relaxed) - before_move;
+  EXPECT_LE(move_allocations, kEpochs)
+      << "the hand-over allocated per row, not per epoch";
+  EXPECT_EQ(held.EpochsHeld(0), 2 * kEpochs);
+  EXPECT_EQ(held.TotalGroups(0), 2 * kEpochs * kRows);
+  EXPECT_EQ(held.transfers(), 2 * kEpochs * kRows);
+  EXPECT_EQ(retiring.EpochsHeld(0), 0u);
 }
 
 }  // namespace

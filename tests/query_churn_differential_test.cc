@@ -457,5 +457,95 @@ TEST(QueryChurnDifferentialTest, DroppedQueryGroupsStopAccumulating) {
                       Window{initial[1], 0, trace.size()}, 2.0);
 }
 
+TEST(QueryChurnDifferentialTest, PlanChangesInsideAndAtStartOfEpochStayExact) {
+  // Each plan change hands the retiring runtime's results over by
+  // ownership, and the epoch in flight on to the incoming runtime. Two plan
+  // changes inside one epoch (an add, then a drop) plus one on the first
+  // record of a later epoch must neither lose a row nor count one twice,
+  // serial and sharded.
+  constexpr double kEpochSeconds = 2.0;
+  const Trace trace = ZipfTrace(HarnessSeed() + 0x0e9);
+  const Schema& schema = trace.schema();
+  std::map<uint64_t, uint64_t> epoch_records;
+  std::map<uint64_t, size_t> epoch_begin;
+  for (size_t i = 0; i < trace.size(); ++i) {
+    const auto e =
+        static_cast<uint64_t>(trace.record(i).timestamp / kEpochSeconds);
+    if (epoch_records[e]++ == 0) epoch_begin[e] = i;
+  }
+  ASSERT_EQ(epoch_records.size(), 6u);
+  ASSERT_GT(epoch_begin[3], 10000u);  // Planned (sample size) before epoch 3.
+  ASSERT_GT(epoch_begin[4], epoch_begin[3] + 6000);
+  const size_t add_at = epoch_begin[3] + 2000;
+  const size_t drop_at = epoch_begin[3] + 6000;
+  const size_t read_at = epoch_begin[4] + 1;  // Epoch 3 flushed, no swap.
+  const size_t add_at_start = epoch_begin[5];
+
+  const std::vector<QueryDef> initial = {
+      QueryDef(*schema.ParseAttributeSet("AB"), {{AggregateOp::kSum, 2}}),
+      QueryDef(*schema.ParseAttributeSet("CD")),
+      QueryDef(*schema.ParseAttributeSet("A"),
+               {{AggregateOp::kMin, 1}, {AggregateOp::kMax, 2}})};
+  const QueryDef added_mid(*schema.ParseAttributeSet("BD"),
+                           {{AggregateOp::kMax, 0}});
+  const QueryDef added_at_start(*schema.ParseAttributeSet("ACD"));
+  const auto total = [](const EpochAggregate& groups) {
+    uint64_t sum = 0;
+    for (const auto& [key, state] : groups) sum += state.count;
+    return sum;
+  };
+
+  for (const Split split : {Split{1, 1}, Split{1, 2}, Split{2, 2}}) {
+    SCOPED_TRACE("split " + std::to_string(split.producers) + "x" +
+                 std::to_string(split.shards));
+    auto engine = StreamAggEngine::FromQueryDefs(
+        schema, initial, BaseOptions(split.producers, split.shards));
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    std::map<int, Window> windows;
+    for (size_t q = 0; q < initial.size(); ++q) {
+      windows[static_cast<int>(q)] = Window{initial[q], 0, trace.size()};
+    }
+    for (size_t i = 0; i < trace.size(); ++i) {
+      if (i == add_at) {
+        auto id = (*engine)->AddQuery(added_mid);
+        ASSERT_TRUE(id.ok()) << id.status().ToString();
+        windows[*id] = Window{added_mid, i, trace.size()};
+      }
+      if (i == drop_at) {
+        // Drops a query that has been live since the first record.
+        ASSERT_TRUE((*engine)->DropQuery(2).ok());
+        windows[2].end = i;
+      }
+      if (i == read_at && split.producers * split.shards == 1) {
+        // A serial engine serves a completed epoch whole mid-stream, even
+        // one that two plan changes cut into three runtimes' shares.
+        EXPECT_EQ(total((*engine)->EpochResult(0, 3)), epoch_records[3]);
+        EXPECT_EQ(total((*engine)->EpochResult(1, 3)), epoch_records[3]);
+      }
+      if (i == add_at_start) {
+        auto id = (*engine)->AddQuery(added_at_start);
+        ASSERT_TRUE(id.ok()) << id.status().ToString();
+        windows[*id] = Window{added_at_start, i, trace.size()};
+      }
+      ASSERT_TRUE((*engine)->Process(trace.record(i)).ok());
+    }
+    ASSERT_TRUE((*engine)->Finish().ok());
+    EXPECT_EQ((*engine)->churn_events().size(), 3u);
+
+    for (const auto& [id, window] : windows) {
+      ExpectWindowMatches(**engine, trace, id, window, kEpochSeconds);
+    }
+    // Ids live for a whole epoch sum to that epoch's records.
+    EXPECT_EQ((*engine)->Epochs(0).size(), epoch_records.size());
+    for (const auto& [e, records] : epoch_records) {
+      for (int id : {0, 1}) {
+        EXPECT_EQ(total((*engine)->EpochResult(id, e)), records)
+            << "query id " << id << " epoch " << e;
+      }
+    }
+    EXPECT_EQ(total((*engine)->EpochResult(4, 5)), epoch_records[5]);
+  }
+}
+
 }  // namespace
 }  // namespace streamagg
