@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <numeric>
+#include <optional>
 #include <set>
 
 #include "core/feeding_graph.h"
@@ -13,30 +15,6 @@
 #include "util/timer.h"
 
 namespace streamagg {
-
-#if STREAMAGG_TELEMETRY_LEVEL >= 1
-namespace {
-
-/// Records a kShedPlanInstall instant for the controller's current plan,
-/// called wherever a plan is pushed into a runtime (initial arm, reprice
-/// after a probe-mode flip, runtime swap, and boundary updates alike) so
-/// the trace shows every install, not just the changed-at-boundary ones.
-void TraceShedPlanInstall(const OverloadController& controller,
-                          uint64_t epoch) {
-  const ShedPlan& plan = controller.shed_plan();
-  uint32_t shedding_relations = 0;
-  for (uint32_t n : plan.numerators) {
-    if (n > 0) ++shedding_relations;
-  }
-  FlightRecorder::Instance().RecordInstant(
-      TraceEventType::kShedPlanInstall, epoch,
-      static_cast<uint32_t>(
-          std::clamp(controller.target_fraction(), 0.0, 1.0) * 1000.0),
-      shedding_relations);
-}
-
-}  // namespace
-#endif
 
 Status StreamAggEngine::ValidateOptions(const Options& options) {
   if (options.num_shards < 1) {
@@ -115,24 +93,21 @@ Result<std::unique_ptr<StreamAggEngine>> StreamAggEngine::FromPinnedPlan(
   STREAMAGG_ASSIGN_OR_RETURN(
       std::unique_ptr<StreamAggEngine> engine,
       FromQueryDefs(schema, std::move(queries), options));
-  // Statistics snapshot for the adaptive path. When no counts are given,
-  // derive a degenerate catalog from the plan itself is impossible, so
-  // require counts whenever adaptivity is requested.
-  if (options.adaptive) {
-    if (catalog_counts.empty()) {
-      return Status::InvalidArgument(
-          "Options::adaptive requires catalog counts for pinned-plan "
-          "engines (got adaptive=true with 0 catalog counts)");
-    }
-    STREAMAGG_ASSIGN_OR_RETURN(
-        RelationCatalog catalog,
-        RelationCatalog::Synthetic(schema, std::move(catalog_counts)));
-    engine->catalog_ = std::make_unique<RelationCatalog>(std::move(catalog));
-  } else if (!catalog_counts.empty()) {
+  // Statistics snapshot for the adaptive path. A plan alone cannot yield
+  // one, so adaptivity requires counts; without it, unusable counts are
+  // simply ignored.
+  if (options.adaptive && catalog_counts.empty()) {
+    return Status::InvalidArgument(
+        "Options::adaptive requires catalog counts for pinned-plan "
+        "engines (got adaptive=true with 0 catalog counts)");
+  }
+  if (!catalog_counts.empty()) {
     auto catalog =
         RelationCatalog::Synthetic(schema, std::move(catalog_counts));
     if (catalog.ok()) {
       engine->catalog_ = std::make_unique<RelationCatalog>(std::move(*catalog));
+    } else if (options.adaptive) {
+      return catalog.status();
     }
   }
   engine->plan_ = std::make_unique<OptimizedPlan>(std::move(plan));
@@ -230,8 +205,13 @@ Status StreamAggEngine::PlanFromSample() {
   last_optimize_millis_ = plan.optimize_millis;
   plan_ = std::make_unique<OptimizedPlan>(std::move(plan));
   STREAMAGG_RETURN_NOT_OK(InstallRuntime());
-  // Replay the buffered sample — its records were never processed.
-  for (const Record& r : sample_->records()) RuntimeProcess(r);
+  // Replay the buffered sample — its records were never processed. One
+  // record per call: a multi-producer runtime then stages the whole sample
+  // on this thread in stream order, so its cost counters do not depend on
+  // how producer threads interleave.
+  WithRuntime([&](auto& runtime) {
+    for (const Record& r : sample_->records()) runtime.ProcessRecord(r);
+  });
   return Status::OK();
 }
 
@@ -243,13 +223,14 @@ Status StreamAggEngine::InstallRuntime() {
   // plan was optimized for. ToRuntimeSpecs preserves node order, so
   // planned_rates_[i] lines up with the runtime's table(i).
   planned_rates_.clear();
+  std::optional<CostModel> cost_model;
   if (catalog_ != nullptr) {
-    CostModel cost_model(catalog_.get(), collision_model_.get(),
-                         options_.optimizer.cost);
-    planned_rates_ = cost_model.CollisionRates(plan_->config, plan_->buckets);
+    cost_model.emplace(catalog_.get(), collision_model_.get(),
+                       options_.optimizer.cost);
+    planned_rates_ = cost_model->CollisionRates(plan_->config, plan_->buckets);
   }
   // The incoming runtime's counters start at zero; reset the accumulation
-  // baseline with them (see AccumulateCounters).
+  // baseline with them (see TakeRuntimeResults).
   live_counter_baseline_ = RuntimeCounters{};
   // A fresh runtime starts every table in hash mode; the adaptive boundary
   // re-decides from the new plan's own telemetry (trend runs restart at a
@@ -257,21 +238,16 @@ Status StreamAggEngine::InstallRuntime() {
   probe_modes_.clear();
   // The overload controller outlives runtime swaps; each new plan only
   // re-prices its raw relations (and re-derives the shed plan, so the shed
-  // floor stays in force on the fresh runtime).
+  // floor stays in force on the fresh runtime). A pinned plan without
+  // statistics gets uniform prices, which keep the shed floor (and the
+  // watermark trend logic) in force.
   if (options_.overload.enabled) {
     if (overload_controller_ == nullptr) {
       overload_controller_ =
           std::make_unique<OverloadController>(options_.overload);
     }
-    if (catalog_ != nullptr) {
-      CostModel cost_model(catalog_.get(), collision_model_.get(),
-                           options_.optimizer.cost);
-      overload_controller_->PriceRelations(&cost_model, *plan_, schema_);
-    } else {
-      // Pinned plan without statistics: uniform pricing keeps the shed
-      // floor (and the watermark trend logic) in force.
-      overload_controller_->PriceRelations(nullptr, *plan_, schema_);
-    }
+    overload_controller_->PriceRelations(
+        cost_model.has_value() ? &*cost_model : nullptr, *plan_, schema_);
   }
   if (options_.num_shards > 1 || options_.num_producers > 1) {
     ShardedRuntime::Options sharded_options;
@@ -287,83 +263,42 @@ Status StreamAggEngine::InstallRuntime() {
         std::unique_ptr<ShardedRuntime> sharded,
         ShardedRuntime::Make(schema_, std::move(specs), options_.epoch_seconds,
                              sharded_options));
-    sharded_runtime_ = std::move(sharded);
-    sharded_runtime_->AdoptHfta(accumulated_hfta_->TakeEpoch(current_epoch_));
-    sharded_runtime_->set_telemetry_level(options_.telemetry_level);
-    if (overload_controller_ != nullptr) {
-      STREAMAGG_RETURN_NOT_OK(
-          sharded_runtime_->SetShedPlan(overload_controller_->shed_plan()));
-      STREAMAGG_TRACE(
-          TraceShedPlanInstall(*overload_controller_, current_epoch_));
-    }
-    return Status::OK();
+    runtime_ = std::move(sharded);
+  } else {
+    STREAMAGG_ASSIGN_OR_RETURN(
+        std::unique_ptr<ConfigurationRuntime> serial,
+        ConfigurationRuntime::Make(schema_, std::move(specs),
+                                   options_.epoch_seconds));
+    runtime_ = std::move(serial);
   }
-  STREAMAGG_ASSIGN_OR_RETURN(
-      std::unique_ptr<ConfigurationRuntime> runtime,
-      ConfigurationRuntime::Make(schema_, std::move(specs),
-                                 options_.epoch_seconds));
-  runtime_ = std::move(runtime);
-  runtime_->AdoptHfta(accumulated_hfta_->TakeEpoch(current_epoch_));
-  runtime_->set_telemetry_level(options_.telemetry_level);
-  if (overload_controller_ != nullptr) {
-    STREAMAGG_RETURN_NOT_OK(
-        runtime_->SetShedPlan(overload_controller_->shed_plan()));
-    STREAMAGG_TRACE(
-        TraceShedPlanInstall(*overload_controller_, current_epoch_));
-  }
+  WithRuntime([&](auto& runtime) {
+    runtime.AdoptHfta(accumulated_hfta_->TakeEpoch(current_epoch_));
+    runtime.set_telemetry_level(options_.telemetry_level);
+  });
+  return overload_controller_ != nullptr ? InstallShedPlan() : Status::OK();
+}
+
+Status StreamAggEngine::InstallShedPlan() {
+  const ShedPlan& plan = overload_controller_->shed_plan();
+  STREAMAGG_RETURN_NOT_OK(
+      WithRuntime([&](auto& runtime) { return runtime.SetShedPlan(plan); }));
+  // Every install is traced (initial arm, re-price after a probe-mode flip,
+  // runtime swap and boundary updates alike), not just the changed ones.
+  STREAMAGG_TRACE({
+    const auto shedding = static_cast<uint32_t>(std::count_if(
+        plan.numerators.begin(), plan.numerators.end(),
+        [](uint32_t n) { return n > 0; }));
+    FlightRecorder::Instance().RecordInstant(
+        TraceEventType::kShedPlanInstall, current_epoch_,
+        static_cast<uint32_t>(
+            std::clamp(overload_controller_->target_fraction(), 0.0, 1.0) *
+            1000.0),
+        shedding);
+  });
   return Status::OK();
 }
 
-void StreamAggEngine::RuntimeProcess(const Record& record) {
-  if (sharded_runtime_ != nullptr) {
-    sharded_runtime_->ProcessRecord(record);
-  } else {
-    runtime_->ProcessRecord(record);
-  }
-}
-
-void StreamAggEngine::RuntimeProcessBatch(std::span<const Record> records) {
-  if (records.empty()) return;
-  // Non-adaptive epoch bookkeeping only needs the latest epoch; the runtime
-  // performs its own boundary flushes at timestamp changes inside the batch.
-  if (options_.epoch_seconds > 0.0) {
-    const uint64_t epoch = static_cast<uint64_t>(
-        std::floor(records.back().timestamp / options_.epoch_seconds));
-    if (saw_record_ && epoch != current_epoch_) {
-      STREAMAGG_TRACE(FlightRecorder::Instance().RecordInstant(
-          TraceEventType::kEpochBoundary, current_epoch_,
-          static_cast<uint32_t>(epoch)));
-      // The epoch history sees the completed epoch's pre-flush tables; the
-      // boundary-straddling batch itself lands in the next snapshot.
-      CaptureEpochSnapshot(current_epoch_);
-    }
-    current_epoch_ = epoch;
-  }
-  saw_record_ = true;
-  if (sharded_runtime_ != nullptr) {
-    sharded_runtime_->ProcessBatch(records);
-  } else {
-    runtime_->ProcessBatch(records);
-  }
-}
-
-void StreamAggEngine::AccumulateCounters() {
-  // Fold in only the growth since the last call: repeated calls (or calls
-  // at unexpected points, e.g. a failed re-plan mid-swap) can never
-  // double-count. InstallRuntime zeroes the baseline alongside the fresh
-  // runtime's counters.
-  const RuntimeCounters* live = nullptr;
-  if (runtime_ != nullptr) {
-    live = &runtime_->counters();
-  } else if (sharded_runtime_ != nullptr) {
-    live = &sharded_runtime_->counters();
-  }
-  if (live == nullptr) return;
-  total_counters_.Add(live->Since(live_counter_baseline_));
-  live_counter_baseline_ = *live;
-}
-
-Status StreamAggEngine::HandleEpochBoundary(uint64_t next_epoch) {
+Status StreamAggEngine::HandleEpochBoundary() {
   // Judge the epoch-snapshot history for a sustained drift trend. The
   // completed epoch's snapshot was just appended by CaptureEpochSnapshot
   // (capture is forced on under adaptive), so the trend window ends at the
@@ -390,11 +325,8 @@ Status StreamAggEngine::HandleEpochBoundary(uint64_t next_epoch) {
   if (adaptive_options.sort_enter_collision_rate <= 1.0) {
     std::vector<ProbeMode> modes = controller.DecideProbeModes(history);
     if (!modes.empty() && modes != probe_modes_) {
-      if (runtime_ != nullptr) {
-        STREAMAGG_RETURN_NOT_OK(runtime_->SetProbeModes(modes));
-      } else {
-        STREAMAGG_RETURN_NOT_OK(sharded_runtime_->SetProbeModes(modes));
-      }
+      STREAMAGG_RETURN_NOT_OK(WithRuntime(
+          [&](auto& runtime) { return runtime.SetProbeModes(modes); }));
       probe_modes_ = std::move(modes);
       STREAMAGG_TRACE({
         uint32_t sort_tables = 0;
@@ -412,12 +344,7 @@ Status StreamAggEngine::HandleEpochBoundary(uint64_t next_epoch) {
         // the re-derived plan into the runtime immediately.
         overload_controller_->PriceRelations(&cost_model, *plan_, schema_,
                                              probe_modes_);
-        const ShedPlan& shed = overload_controller_->shed_plan();
-        STREAMAGG_RETURN_NOT_OK(runtime_ != nullptr
-                                    ? runtime_->SetShedPlan(shed)
-                                    : sharded_runtime_->SetShedPlan(shed));
-        STREAMAGG_TRACE(
-            TraceShedPlanInstall(*overload_controller_, current_epoch_));
+        STREAMAGG_RETURN_NOT_OK(InstallShedPlan());
       }
     }
   }
@@ -466,9 +393,8 @@ Status StreamAggEngine::HandleEpochBoundary(uint64_t next_epoch) {
   // quiesced (not flushed) by the capture above. Only the drifted trees'
   // relations take fresh estimates: the pinned trees must re-cost exactly
   // as before, and the rest of the catalog keeps its prior statistics.
-  const std::map<uint32_t, uint64_t> estimates =
-      runtime_ != nullptr ? controller.EstimateGroupCounts(*runtime_)
-                          : controller.EstimateGroupCounts(*sharded_runtime_);
+  const std::map<uint32_t, uint64_t> estimates = WithRuntime(
+      [&](auto& runtime) { return controller.EstimateGroupCounts(runtime); });
   std::vector<AttributeSet> group_bys;
   for (const QueryDef& q : queries_) group_bys.push_back(q.group_by);
   STREAMAGG_ASSIGN_OR_RETURN(FeedingGraph graph,
@@ -504,11 +430,9 @@ Status StreamAggEngine::HandleEpochBoundary(uint64_t next_epoch) {
       optimizer_.ReplanSubtrees(*catalog_, *plan_, drifted_nodes,
                                 PlanningBudget()));
   last_optimize_millis_ = plan.optimize_millis;
-  ++reoptimizations_;
 
   ReplanEvent event;
-  event.epoch = telemetry_history_.empty() ? current_epoch_
-                                           : telemetry_history_.back().epoch;
+  event.epoch = current_epoch_;  // The epoch whose boundary this is.
   if (verdict.max_table >= 0 && verdict.max_table < config.num_nodes()) {
     event.trigger_relation =
         schema_.FormatAttributeSet(config.node(verdict.max_table).attrs);
@@ -532,15 +456,11 @@ Status StreamAggEngine::HandleEpochBoundary(uint64_t next_epoch) {
         static_cast<uint32_t>(replan_events_.back().replanned_nodes),
         static_cast<uint32_t>(replan_events_.back().pinned_nodes));
   });
-  (void)next_epoch;
   return Status::OK();
 }
 
 Status StreamAggEngine::HandleOverloadBoundary() {
-  if (overload_controller_ == nullptr ||
-      (runtime_ == nullptr && sharded_runtime_ == nullptr)) {
-    return Status::OK();
-  }
+  if (overload_controller_ == nullptr) return Status::OK();
   // CaptureEpochSnapshot already ran (overload forces capture on): the
   // history ends at the epoch whose boundary this is, and a sharded runtime
   // is quiescent behind the capture's Quiesce barrier — both SetShedPlan
@@ -548,25 +468,20 @@ Status StreamAggEngine::HandleOverloadBoundary() {
   // this point.
   if (overload_controller_->UpdateShedPlan(
           std::span<const TelemetrySnapshot>(telemetry_history_))) {
-    const ShedPlan& plan = overload_controller_->shed_plan();
-    if (runtime_ != nullptr) {
-      STREAMAGG_RETURN_NOT_OK(runtime_->SetShedPlan(plan));
-    } else {
-      STREAMAGG_RETURN_NOT_OK(sharded_runtime_->SetShedPlan(plan));
-    }
-    STREAMAGG_TRACE(
-        TraceShedPlanInstall(*overload_controller_, current_epoch_));
+    STREAMAGG_RETURN_NOT_OK(InstallShedPlan());
   }
-  if (sharded_runtime_ != nullptr && sharded_runtime_->num_slots() > 0) {
+  auto* sharded = std::get_if<std::unique_ptr<ShardedRuntime>>(&runtime_);
+  if (sharded != nullptr && (*sharded)->num_slots() > 0) {
+    ShardedRuntime& runtime = **sharded;
     OverloadController::IngestLayout layout =
         overload_controller_->DecideRebalance(
             std::span<const TelemetrySnapshot>(telemetry_history_),
-            sharded_runtime_->SlotRecords(), sharded_runtime_->slot_shards(),
-            sharded_runtime_->num_shards(), sharded_runtime_->num_producers());
+            runtime.SlotRecords(), runtime.slot_shards(), runtime.num_shards(),
+            runtime.num_producers());
     if (layout.changed) {
       STREAMAGG_TRACE(const uint32_t slots =
                           static_cast<uint32_t>(layout.slot_shards.size()));
-      STREAMAGG_RETURN_NOT_OK(sharded_runtime_->ApplyIngestLayout(
+      STREAMAGG_RETURN_NOT_OK(runtime.ApplyIngestLayout(
           std::move(layout.slot_shards), std::move(layout.stripe_weights)));
       STREAMAGG_TRACE(FlightRecorder::Instance().RecordInstant(
           TraceEventType::kRebalance, current_epoch_, slots));
@@ -576,80 +491,114 @@ Status StreamAggEngine::HandleOverloadBoundary() {
 }
 
 Status StreamAggEngine::Process(const Record& record) {
-  // The shared where clause filters records before any table sees them
-  // (the F of the LFTA's Filter-Transform-Aggregate); filtered records are
-  // also excluded from statistics.
-  if (!PassesFilters(shared_filters_, record)) return Status::OK();
-  if (!planned()) {
-    sample_->Append(record);
-    if (sample_->size() >= options_.sample_size) {
-      STREAMAGG_RETURN_NOT_OK(PlanFromSample());
-    }
-    // Track epochs during sampling too, so boundaries line up later.
-    if (options_.epoch_seconds > 0.0) {
-      current_epoch_ = static_cast<uint64_t>(
-          std::floor(record.timestamp / options_.epoch_seconds));
-    }
-    saw_record_ = true;
-    return Status::OK();
-  }
-  if (options_.epoch_seconds > 0.0) {
-    const uint64_t epoch = static_cast<uint64_t>(
-        std::floor(record.timestamp / options_.epoch_seconds));
-    if (saw_record_ && epoch != current_epoch_) {
-      STREAMAGG_TRACE(FlightRecorder::Instance().RecordInstant(
-          TraceEventType::kEpochBoundary, current_epoch_,
-          static_cast<uint32_t>(epoch)));
-      // Capture before any adaptive swap/flush: the history entry shows the
-      // completed epoch's tables as the stream left them.
-      CaptureEpochSnapshot(current_epoch_);
-      if (options_.adaptive) {
-        STREAMAGG_RETURN_NOT_OK(HandleEpochBoundary(epoch));
-      }
-      // After any re-plan: the overload controller re-judges against the
-      // runtime that will actually run the next epoch.
-      STREAMAGG_RETURN_NOT_OK(HandleOverloadBoundary());
-      current_epoch_ = epoch;
-    } else if (!saw_record_) {
-      current_epoch_ = epoch;
-    }
-  }
-  saw_record_ = true;
-  // The runtime flushes its own epoch when it sees the boundary timestamp
-  // (unless the adaptive path already swapped it above). Sharded runtimes
-  // flush per shard the same way.
-  RuntimeProcess(record);
-  return Status::OK();
+  return ProcessBatch(std::span<const Record>(&record, 1));
 }
 
 Status StreamAggEngine::ProcessBatch(std::span<const Record> records) {
-  size_t i = 0;
-  // Sampling (buffer fill, possible mid-batch planning) and the adaptive /
-  // overload epoch-boundary checks keep the per-record logic.
-  while (i < records.size() &&
-         (!planned() || options_.adaptive || options_.overload.enabled)) {
-    STREAMAGG_RETURN_NOT_OK(Process(records[i]));
-    ++i;
+  // The timestamp contract is checked for the whole batch before any state
+  // changes, so a rejected batch leaves the engine exactly as it was.
+  double last = last_timestamp_;
+  for (size_t i = 0; i < records.size(); ++i) {
+    const double t = records[i].timestamp;
+    const char* fault = !std::isfinite(t) ? "is not finite"
+                        : t < last        ? "is below the last accepted one"
+                        : t < 0.0 && options_.epoch_seconds > 0.0
+                            ? "is negative while epochs are on"
+                            : nullptr;
+    if (fault != nullptr) {
+      char buffer[128];
+      std::snprintf(buffer, sizeof(buffer), "record %zu: timestamp %g %s", i,
+                    t, fault);
+      return Status::InvalidArgument(buffer);
+    }
+    last = t;
   }
-  if (i == records.size()) return Status::OK();
-  const std::span<const Record> rest = records.subspan(i);
-  if (shared_filters_.empty()) {
-    RuntimeProcessBatch(rest);
-    return Status::OK();
+  if (records.empty()) return Status::OK();
+  last_timestamp_ = last;
+  // The shared where clause filters records before any table sees them
+  // (the F of the LFTA's Filter-Transform-Aggregate); filtered records are
+  // also excluded from statistics.
+  if (shared_filters_.empty()) return Ingest(records);
+  if (records.size() == 1) {
+    return PassesFilters(shared_filters_, records[0]) ? Ingest(records)
+                                                      : Status::OK();
   }
-  // Shared where clause: filter chunk-wise through a stack buffer so the
-  // batched path below stays allocation-free.
+  return IngestFiltered(records);
+}
+
+Status StreamAggEngine::IngestFiltered(std::span<const Record> records) {
+  // Filter chunk-wise through a stack buffer so that the batched path
+  // stays allocation-free.
   std::array<Record, 256> buffer;
   size_t n = 0;
-  for (const Record& record : rest) {
+  for (const Record& record : records) {
     if (!PassesFilters(shared_filters_, record)) continue;
     buffer[n++] = record;
     if (n == buffer.size()) {
-      RuntimeProcessBatch(std::span<const Record>(buffer.data(), n));
+      STREAMAGG_RETURN_NOT_OK(
+          Ingest(std::span<const Record>(buffer.data(), n)));
       n = 0;
     }
   }
-  if (n > 0) RuntimeProcessBatch(std::span<const Record>(buffer.data(), n));
+  return n > 0 ? Ingest(std::span<const Record>(buffer.data(), n))
+               : Status::OK();
+}
+
+Status StreamAggEngine::Ingest(std::span<const Record> records) {
+  const auto epoch_of = [this](const Record& r) {
+    return static_cast<uint64_t>(
+        std::floor(r.timestamp / options_.epoch_seconds));
+  };
+  while (!records.empty()) {
+    if (!planned()) {
+      // Sampling: buffer records until the sample is full, then plan and
+      // replay it. Track epochs here too, so boundaries line up later.
+      const size_t room = std::max<size_t>(
+          1, options_.sample_size - std::min(options_.sample_size,
+                                             sample_->size()));
+      const std::span<const Record> taken =
+          records.first(std::min(room, records.size()));
+      for (const Record& r : taken) sample_->Append(r);
+      if (options_.epoch_seconds > 0.0) current_epoch_ = epoch_of(taken.back());
+      saw_record_ = true;
+      records = records.subspan(taken.size());
+      if (sample_->size() >= options_.sample_size) {
+        STREAMAGG_RETURN_NOT_OK(PlanFromSample());
+      }
+      continue;
+    }
+    size_t end = records.size();
+    if (options_.epoch_seconds > 0.0) {
+      const uint64_t epoch = epoch_of(records.front());
+      if (saw_record_ && epoch != current_epoch_) {
+        // The epoch step. Capture comes first: the history entry shows the
+        // completed epoch's tables as the stream left them, before any
+        // re-plan or flush. The overload controller goes last, so it judges
+        // the runtime that will actually run the next epoch.
+        STREAMAGG_TRACE(FlightRecorder::Instance().RecordInstant(
+            TraceEventType::kEpochBoundary, current_epoch_,
+            static_cast<uint32_t>(epoch)));
+        CaptureEpochSnapshot(current_epoch_);
+        if (options_.adaptive) STREAMAGG_RETURN_NOT_OK(HandleEpochBoundary());
+        STREAMAGG_RETURN_NOT_OK(HandleOverloadBoundary());
+      }
+      current_epoch_ = epoch;
+      // Timestamps are non-decreasing, so the epoch run is a prefix.
+      if (records.size() > 1 && epoch_of(records.back()) != epoch) {
+        end = static_cast<size_t>(
+            std::partition_point(
+                records.begin(), records.end(),
+                [&](const Record& r) { return epoch_of(r) == epoch; }) -
+            records.begin());
+      }
+    }
+    saw_record_ = true;
+    // The runtime flushes its own epoch when it sees the boundary timestamp
+    // (unless an adaptive re-plan already swapped it above).
+    WithRuntime(
+        [&](auto& runtime) { runtime.ProcessBatch(records.first(end)); });
+    records = records.subspan(end);
+  }
   return Status::OK();
 }
 
@@ -658,7 +607,7 @@ Status StreamAggEngine::Finish() {
     // Short stream: plan from whatever was collected.
     STREAMAGG_RETURN_NOT_OK(PlanFromSample());
   }
-  if (runtime_ == nullptr && sharded_runtime_ == nullptr) return Status::OK();
+  if (!planned()) return Status::OK();
   // Flush the final epoch (for a sharded runtime: an epoch barrier that
   // drains every queue, flushes every shard and merges their HFTAs), then
   // preserve the final state before teardown so telemetry() keeps answering
@@ -668,8 +617,7 @@ Status StreamAggEngine::Finish() {
   FlushRuntime();
   final_snapshot_ = std::make_unique<TelemetrySnapshot>(telemetry());
   TakeRuntimeResults();
-  runtime_.reset();
-  sharded_runtime_.reset();
+  runtime_ = {};
   return Status::OK();
 }
 
@@ -721,6 +669,11 @@ Result<int> StreamAggEngine::AddParsedQuery(ParsedQuery parsed) {
     return m;
   };
   const std::vector<MetricSpec> want = normalized(def.metrics);
+  const int id = num_query_ids();
+  QueryChurnEvent event;
+  event.epoch = current_epoch_;
+  event.query_id = id;
+  event.relation = schema_.FormatAttributeSet(def.group_by);
   // A configuration cannot hold the same attribute set twice, so a
   // group-by match with a live query either aliases it (identical metrics
   // — share the slot, zero plan change) or is rejected.
@@ -732,46 +685,29 @@ Result<int> StreamAggEngine::AddParsedQuery(ParsedQuery parsed) {
           " like a live query but asks for different metrics; drop the "
           "existing query first");
     }
-    const int id = num_query_ids();
     handles_.push_back(QueryHandle{static_cast<int>(d), current_epoch_, 0});
     ++dense_refcount_[d];
     parsed_.push_back(std::move(parsed));
-    QueryChurnEvent event;
-    event.epoch = current_epoch_;
-    event.query_id = id;
-    event.relation = schema_.FormatAttributeSet(def.group_by);
     event.aliased = true;
     RecordChurnEvent(std::move(event));
     return id;
   }
-  // Extends the accumulated HFTA with a fresh slot: identity for the
-  // existing dense slots, -1 (empty) for the newcomer.
-  const auto extend_hfta = [&]() {
-    std::vector<std::vector<MetricSpec>> metrics;
-    std::vector<int> source;
-    metrics.reserve(queries_.size());
-    for (size_t i = 0; i < queries_.size(); ++i) {
-      metrics.push_back(queries_[i].metrics);
-      source.push_back(static_cast<int>(i));
-    }
-    metrics.back() = queries_.back().metrics;
+  // Gives the newcomer its own dense slot, empty in the accumulated HFTA.
+  const auto append_slot = [&]() {
+    handles_.push_back(
+        QueryHandle{static_cast<int>(queries_.size()), current_epoch_, 0});
+    queries_.push_back(def);
+    dense_refcount_.push_back(1);
+    parsed_.push_back(std::move(parsed));
+    std::vector<int> source(queries_.size());
+    std::iota(source.begin(), source.end(), 0);
     source.back() = -1;
-    accumulated_hfta_->Remap(std::move(metrics), source);
+    RemapAccumulatedHfta(source);
   };
   if (!planned()) {
     // Sampling phase: structural append — the newcomer joins the initial
     // optimization (and sees the whole buffered sample on replay).
-    const int id = num_query_ids();
-    const int dense = static_cast<int>(queries_.size());
-    queries_.push_back(def);
-    dense_refcount_.push_back(1);
-    handles_.push_back(QueryHandle{dense, current_epoch_, 0});
-    parsed_.push_back(std::move(parsed));
-    extend_hfta();
-    QueryChurnEvent event;
-    event.epoch = current_epoch_;
-    event.query_id = id;
-    event.relation = schema_.FormatAttributeSet(def.group_by);
+    append_slot();
     RecordChurnEvent(std::move(event));
     return id;
   }
@@ -784,44 +720,28 @@ Result<int> StreamAggEngine::AddParsedQuery(ParsedQuery parsed) {
   // are pure, so a planning failure leaves the engine exactly as it was.
   // Grafts may spend the churn reserve (PlanningBudget(false)); the
   // fallback re-plans everything, so it re-establishes the reserve.
-  int replanned_nodes = 0;
-  int pinned_nodes = 0;
-  bool grafted = true;
-  Result<OptimizedPlan> next =
-      optimizer_.GraftQueries(*catalog_, *plan_, {def}, PlanningBudget(false),
-                              &replanned_nodes, &pinned_nodes);
+  event.grafted = true;
+  Result<OptimizedPlan> next = optimizer_.GraftQueries(
+      *catalog_, *plan_, {def}, PlanningBudget(false), &event.replanned_nodes,
+      &event.pinned_nodes);
   if (!next.ok()) {
-    grafted = false;
+    event.grafted = false;
     std::vector<QueryDef> all = queries_;
     all.push_back(def);
     next = optimizer_.Optimize(*catalog_, all, PlanningBudget());
     STREAMAGG_RETURN_NOT_OK(next.status());
-    replanned_nodes = next->config.num_nodes();
-    pinned_nodes = 0;
+    event.replanned_nodes = next->config.num_nodes();
+    event.pinned_nodes = 0;
   }
   // Plan-change barrier: the epoch in flight is flushed and handed to the
   // accumulated results for the pre-existing queries, then the re-planned
   // runtime takes over. The newcomer accumulates from here on.
-  const double merge_millis = PlanChangeBarrier();
-  const int id = num_query_ids();
-  const int dense = static_cast<int>(queries_.size());
-  queries_.push_back(def);
-  dense_refcount_.push_back(1);
-  handles_.push_back(QueryHandle{dense, current_epoch_, 0});
-  parsed_.push_back(std::move(parsed));
-  extend_hfta();
+  event.merge_millis = PlanChangeBarrier();
+  append_slot();
+  event.optimize_millis = next->optimize_millis;
   last_optimize_millis_ = next->optimize_millis;
   plan_ = std::make_unique<OptimizedPlan>(std::move(*next));
   STREAMAGG_RETURN_NOT_OK(InstallRuntime());
-  QueryChurnEvent event;
-  event.epoch = current_epoch_;
-  event.query_id = id;
-  event.relation = schema_.FormatAttributeSet(def.group_by);
-  event.grafted = grafted;
-  event.replanned_nodes = replanned_nodes;
-  event.pinned_nodes = pinned_nodes;
-  event.optimize_millis = plan_->optimize_millis;
-  event.merge_millis = merge_millis;
   RecordChurnEvent(std::move(event));
   return id;
 }
@@ -868,46 +788,52 @@ Status StreamAggEngine::DropQuery(int query_id) {
     return Status::OK();
   }
 
-  if (!planned()) {
-    // Sampling phase: structural removal before any plan exists.
-    ArchiveQuery(query_id, dense, /*include_live=*/false);
-    RemoveDenseSlot(dense);
-    handle.dense = -1;
-    handle.dropped_epoch = current_epoch_;
-    RecordChurnEvent(std::move(event));
-    return Status::OK();
-  }
-  if (catalog_ == nullptr) {
-    return Status::FailedPrecondition(
-        "online DropQuery needs statistics; give the pinned-plan engine "
-        "catalog counts or let the engine sample first");
-  }
-  // Prune first (pure surgery; full Optimize of the survivors only if the
+  // Sampling phase: structural removal before any plan exists. Otherwise
+  // prune first (pure surgery; full Optimize of the survivors only if the
   // surgery errors), then run the barrier and swap.
-  int pinned_nodes = 0;
-  Result<OptimizedPlan> next =
-      optimizer_.PruneQueries(*catalog_, *plan_, {dense}, &pinned_nodes);
-  if (!next.ok()) {
-    std::vector<QueryDef> rest;
-    for (size_t i = 0; i < queries_.size(); ++i) {
-      if (static_cast<int>(i) != dense) rest.push_back(queries_[i]);
+  std::optional<OptimizedPlan> next;
+  if (planned()) {
+    if (catalog_ == nullptr) {
+      return Status::FailedPrecondition(
+          "online DropQuery needs statistics; give the pinned-plan engine "
+          "catalog counts or let the engine sample first");
     }
-    next = optimizer_.Optimize(*catalog_, rest, PlanningBudget());
-    STREAMAGG_RETURN_NOT_OK(next.status());
-    pinned_nodes = 0;
+    Result<OptimizedPlan> pruned = optimizer_.PruneQueries(
+        *catalog_, *plan_, {dense}, &event.pinned_nodes);
+    if (!pruned.ok()) {
+      std::vector<QueryDef> rest;
+      for (size_t i = 0; i < queries_.size(); ++i) {
+        if (static_cast<int>(i) != dense) rest.push_back(queries_[i]);
+      }
+      pruned = optimizer_.Optimize(*catalog_, rest, PlanningBudget());
+      STREAMAGG_RETURN_NOT_OK(pruned.status());
+      event.pinned_nodes = 0;
+    }
+    next = std::move(*pruned);
+    event.merge_millis = PlanChangeBarrier();
   }
-  event.merge_millis = PlanChangeBarrier();
   // The accumulated HFTA now holds everything up to the drop; archive the
-  // slot before RemoveDenseSlot remaps it away.
+  // slot, then erase it and shift every handle above it down.
   ArchiveQuery(query_id, dense, /*include_live=*/false);
-  RemoveDenseSlot(dense);
+  queries_.erase(queries_.begin() + dense);
+  dense_refcount_.erase(dense_refcount_.begin() + dense);
+  for (QueryHandle& h : handles_) {
+    if (h.dense > dense) --h.dense;
+  }
+  std::vector<int> source(queries_.size());
+  for (size_t i = 0; i < source.size(); ++i) {
+    source[i] = static_cast<int>(i) < dense ? static_cast<int>(i)
+                                            : static_cast<int>(i) + 1;
+  }
+  RemapAccumulatedHfta(source);
   handle.dense = -1;
   handle.dropped_epoch = current_epoch_;
-  event.pinned_nodes = pinned_nodes;
-  event.optimize_millis = next->optimize_millis;
-  last_optimize_millis_ = next->optimize_millis;
-  plan_ = std::make_unique<OptimizedPlan>(std::move(*next));
-  STREAMAGG_RETURN_NOT_OK(InstallRuntime());
+  if (next.has_value()) {
+    event.optimize_millis = next->optimize_millis;
+    last_optimize_millis_ = next->optimize_millis;
+    plan_ = std::make_unique<OptimizedPlan>(std::move(*next));
+    STREAMAGG_RETURN_NOT_OK(InstallRuntime());
+  }
   RecordChurnEvent(std::move(event));
   return Status::OK();
 }
@@ -920,22 +846,25 @@ double StreamAggEngine::PlanChangeBarrier() {
 }
 
 void StreamAggEngine::FlushRuntime() {
-  if (sharded_runtime_ != nullptr) {
-    // The flush barrier drains the P x S matrix and parks the workers, then
-    // evicts every shard table into the merged HFTA.
-    sharded_runtime_->FlushEpoch();
-  } else if (runtime_ != nullptr) {
-    runtime_->FlushEpoch();
-  }
+  // A sharded flush barrier drains the P x S matrix and parks the workers,
+  // then evicts every shard table into the merged HFTA.
+  if (planned()) WithRuntime([](auto& runtime) { runtime.FlushEpoch(); });
 }
 
 void StreamAggEngine::TakeRuntimeResults() {
-  if (sharded_runtime_ != nullptr) {
-    accumulated_hfta_->MergeFrom(sharded_runtime_->TakeHfta());
-  } else if (runtime_ != nullptr) {
-    accumulated_hfta_->MergeFrom(runtime_->TakeHfta());
-  }
-  AccumulateCounters();
+  if (!planned()) return;
+  accumulated_hfta_->MergeFrom(
+      WithRuntime([](auto& runtime) { return runtime.TakeHfta(); }));
+  // Fold in only the counter growth since the last call: repeated calls
+  // (or calls at unexpected points, e.g. a failed re-plan mid-swap) can
+  // never double-count. InstallRuntime zeroes the baseline alongside the
+  // fresh runtime's counters.
+  const RuntimeCounters& live =
+      WithRuntime([](auto& runtime) -> const RuntimeCounters& {
+        return runtime.counters();
+      });
+  total_counters_.Add(live.Since(live_counter_baseline_));
+  live_counter_baseline_ = live;
 }
 
 void StreamAggEngine::ArchiveQuery(int query_id, int dense,
@@ -951,13 +880,12 @@ void StreamAggEngine::ArchiveQuery(int query_id, int dense,
   for (uint64_t e : accumulated_hfta_->Epochs(dense)) {
     archive[e] = accumulated_hfta_->Result(dense, e);
   }
-  const Hfta* live = runtime_ != nullptr ? &runtime_->hfta()
-                     : sharded_runtime_ != nullptr ? &sharded_runtime_->hfta()
-                                                   : nullptr;
-  if (live != nullptr) {
-    for (uint64_t e : live->Epochs(dense)) {
+  if (planned()) {
+    const Hfta& live = WithRuntime(
+        [](auto& runtime) -> const Hfta& { return runtime.hfta(); });
+    for (uint64_t e : live.Epochs(dense)) {
       EpochAggregate& into = archive[e];
-      for (const auto& [key, state] : live->Result(dense, e)) {
+      for (const auto& [key, state] : live.Result(dense, e)) {
         auto [it, inserted] = into.try_emplace(key, state);
         if (!inserted) {
           it->second.Merge(state,
@@ -969,22 +897,12 @@ void StreamAggEngine::ArchiveQuery(int query_id, int dense,
   retired_[query_id] = std::move(archive);
 }
 
-void StreamAggEngine::RemoveDenseSlot(int dense) {
-  queries_.erase(queries_.begin() + dense);
-  dense_refcount_.erase(dense_refcount_.begin() + dense);
-  for (QueryHandle& h : handles_) {
-    if (h.dense > dense) --h.dense;
-  }
+void StreamAggEngine::RemapAccumulatedHfta(const std::vector<int>& source) {
   std::vector<std::vector<MetricSpec>> metrics;
-  std::vector<int> source;
   metrics.reserve(queries_.size());
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    metrics.push_back(queries_[i].metrics);
-    source.push_back(static_cast<int>(i) < dense ? static_cast<int>(i)
-                                                 : static_cast<int>(i) + 1);
-  }
-  // Also nulls the HFTA's Add target cache — the ISSUE 10 satellite fix:
-  // a stale cache would keep accumulating a dropped query's groups.
+  for (const QueryDef& q : queries_) metrics.push_back(q.metrics);
+  // Also nulls the HFTA's Add target cache: a stale cache would keep
+  // accumulating a dropped query's groups.
   accumulated_hfta_->Remap(std::move(metrics), source);
 }
 
@@ -1013,15 +931,13 @@ const EpochAggregate& StreamAggEngine::EpochResult(int query_index,
     auto it = rid->second.find(epoch);
     return it == rid->second.end() ? empty_aggregate_ : it->second;
   }
-  if (runtime_ != nullptr) {
-    const EpochAggregate& live = runtime_->hfta().Result(dense, epoch);
-    if (!live.empty()) return live;
-  }
-  if (sharded_runtime_ != nullptr) {
-    // The merged snapshot from the last epoch barrier; mid-stream results
-    // become visible at Finish() (see docs/runtime.md).
-    const EpochAggregate& live =
-        sharded_runtime_->hfta().Result(dense, epoch);
+  if (planned()) {
+    // A sharded runtime answers from the merged snapshot of its last epoch
+    // barrier; mid-stream results become visible there (docs/runtime.md).
+    const EpochAggregate& live = WithRuntime(
+        [&](auto& runtime) -> const EpochAggregate& {
+          return runtime.hfta().Result(dense, epoch);
+        });
     if (!live.empty()) return live;
   }
   return accumulated_hfta_->Result(dense, epoch);
@@ -1038,13 +954,10 @@ std::vector<uint64_t> StreamAggEngine::Epochs(int query_index) const {
     }
     return std::vector<uint64_t>(epochs.begin(), epochs.end());
   }
-  if (runtime_ != nullptr) {
-    for (uint64_t e : runtime_->hfta().Epochs(dense)) epochs.insert(e);
-  }
-  if (sharded_runtime_ != nullptr) {
-    for (uint64_t e : sharded_runtime_->hfta().Epochs(dense)) {
-      epochs.insert(e);
-    }
+  if (planned()) {
+    WithRuntime([&](auto& runtime) {
+      for (uint64_t e : runtime.hfta().Epochs(dense)) epochs.insert(e);
+    });
   }
   for (uint64_t e : accumulated_hfta_->Epochs(dense)) epochs.insert(e);
   return std::vector<uint64_t>(epochs.begin(), epochs.end());
@@ -1052,35 +965,32 @@ std::vector<uint64_t> StreamAggEngine::Epochs(int query_index) const {
 
 RuntimeCounters StreamAggEngine::counters() const {
   // total_counters_ may already include part of the live runtime's history
-  // (any AccumulateCounters since its install); add only the remainder.
+  // (any TakeRuntimeResults since its install); add only the remainder.
+  // A sharded runtime's counters are a barrier snapshot: race-free, but
+  // only as fresh as the last barrier.
   RuntimeCounters total = total_counters_;
-  if (runtime_ != nullptr) {
-    total.Add(runtime_->counters().Since(live_counter_baseline_));
-  } else if (sharded_runtime_ != nullptr) {
-    // Barrier snapshot: race-free, but only as fresh as the last flush.
-    total.Add(sharded_runtime_->counters().Since(live_counter_baseline_));
+  if (planned()) {
+    WithRuntime([&](auto& runtime) {
+      total.Add(runtime.counters().Since(live_counter_baseline_));
+    });
   }
   return total;
 }
 
 TelemetrySnapshot StreamAggEngine::telemetry() const {
-  TelemetrySnapshot snapshot;
-  if (runtime_ != nullptr) {
-    snapshot = BuildTelemetrySnapshot(*runtime_, schema_);
-  } else if (sharded_runtime_ != nullptr) {
-    snapshot = BuildTelemetrySnapshot(*sharded_runtime_, schema_);
-  } else if (final_snapshot_ != nullptr) {
-    return *final_snapshot_;
-  } else {
-    return snapshot;  // Still sampling: nothing to report yet.
+  if (!planned()) {
+    // Still sampling (nothing to report yet), or finished.
+    return final_snapshot_ != nullptr ? *final_snapshot_ : TelemetrySnapshot{};
   }
+  TelemetrySnapshot snapshot = WithRuntime(
+      [&](auto& runtime) { return BuildTelemetrySnapshot(runtime, schema_); });
   AnnotateSnapshot(&snapshot);
   return snapshot;
 }
 
 void StreamAggEngine::AnnotateSnapshot(TelemetrySnapshot* snapshot) const {
   snapshot->counters = counters();
-  snapshot->reoptimizations = reoptimizations_;
+  snapshot->reoptimizations = reoptimizations();
   snapshot->epoch = current_epoch_;
   snapshot->replans = replan_events_;
   snapshot->query_churn = churn_events_;
@@ -1099,13 +1009,10 @@ void StreamAggEngine::AnnotateSnapshot(TelemetrySnapshot* snapshot) const {
     const std::vector<OverloadController::RelationPrice>& prices =
         overload_controller_->prices();
     const ShedPlan& shed_plan = overload_controller_->shed_plan();
-    size_t live_raw = 0;
-    if (runtime_ != nullptr) {
-      live_raw = static_cast<size_t>(runtime_->num_raw_relations());
-    } else if (sharded_runtime_ != nullptr) {
-      live_raw = static_cast<size_t>(
-          sharded_runtime_->shard(0).num_raw_relations());
-    }
+    // The live runtime's raw relations are its snapshot's root tables.
+    const size_t live_raw = static_cast<size_t>(
+        std::count_if(snapshot->tables.begin(), snapshot->tables.end(),
+                      [](const TableTelemetry& t) { return t.parent < 0; }));
     shed.relations.clear();
     shed.relations.reserve(prices.size());
     for (size_t i = 0; i < prices.size(); ++i) {
@@ -1120,10 +1027,9 @@ void StreamAggEngine::AnnotateSnapshot(TelemetrySnapshot* snapshot) const {
       // Per-relation drop counts are the live runtime's (they reset at a
       // swap; the lifetime total above never does).
       if (i < live_raw) {
-        relation.shed_records =
-            runtime_ != nullptr
-                ? runtime_->shed_count(static_cast<int>(i))
-                : sharded_runtime_->shed_count(static_cast<int>(i));
+        relation.shed_records = WithRuntime([&](auto& runtime) {
+          return runtime.shed_count(static_cast<int>(i));
+        });
       }
       shed.relations.push_back(std::move(relation));
     }
@@ -1144,9 +1050,8 @@ void StreamAggEngine::AnnotateSnapshot(TelemetrySnapshot* snapshot) const {
 void StreamAggEngine::CaptureEpochSnapshot(uint64_t completed_epoch) {
   // Adaptive and overload engines always capture: their epoch-boundary
   // judgments read the history.
-  if ((!options_.telemetry_epoch_snapshots && !options_.adaptive &&
-       !options_.overload.enabled) ||
-      (runtime_ == nullptr && sharded_runtime_ == nullptr)) {
+  if (!options_.telemetry_epoch_snapshots && !options_.adaptive &&
+      !options_.overload.enabled) {
     return;
   }
   // A sharded snapshot mid-stream would race the workers, so quiesce first:
@@ -1158,25 +1063,22 @@ void StreamAggEngine::CaptureEpochSnapshot(uint64_t completed_epoch) {
   // pre-flush capture. The epoch flush itself happens as usual — workers
   // flush when they see the next epoch's timestamps, and the multi-producer
   // driver inserts its boundary barrier on the next dispatch.
-  if (sharded_runtime_ != nullptr) sharded_runtime_->Quiesce();
+  if (auto* sharded = std::get_if<std::unique_ptr<ShardedRuntime>>(&runtime_)) {
+    (*sharded)->Quiesce();
+  }
   TelemetrySnapshot snapshot = telemetry();
   snapshot.epoch = completed_epoch;
   telemetry_history_.push_back(std::move(snapshot));
-  size_t limit = options_.telemetry_history_cap;
-  if (options_.adaptive) {
-    // The trend window needs trend_epochs observations plus the preceding
-    // snapshot for the oldest delta.
-    const size_t need = static_cast<size_t>(std::max(
-                            1, options_.adaptive_options.trend_epochs)) +
-                        1;
-    limit = std::max(limit, need);
-  }
-  if (options_.overload.enabled) {
-    // Same shape for the overload controller's pressure window.
-    const size_t need =
-        static_cast<size_t>(std::max(1, options_.overload.trend_epochs)) + 1;
-    limit = std::max(limit, need);
-  }
+  // The adaptive trend window and the overload controller's pressure
+  // window each need trend_epochs observations plus the preceding snapshot
+  // for the oldest delta.
+  const auto window = [](bool on, int trend_epochs) {
+    return on ? static_cast<size_t>(std::max(1, trend_epochs)) + 1 : 0;
+  };
+  const size_t limit = std::max(
+      {options_.telemetry_history_cap,
+       window(options_.adaptive, options_.adaptive_options.trend_epochs),
+       window(options_.overload.enabled, options_.overload.trend_epochs)});
   while (telemetry_history_.size() > limit) {
     telemetry_history_.erase(telemetry_history_.begin());
   }

@@ -1,10 +1,12 @@
 #ifndef STREAMAGG_CORE_ENGINE_H_
 #define STREAMAGG_CORE_ENGINE_H_
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/adaptive.h"
@@ -134,18 +136,26 @@ class StreamAggEngine {
       const Schema& schema, OptimizedPlan plan,
       std::map<uint32_t, uint64_t> catalog_counts, Options options);
 
-  /// Feeds one record. Records must arrive in non-decreasing timestamp
-  /// order. Returns an error only for internal planning failures (e.g. the
-  /// memory budget cannot host the query tables).
+  /// Feeds one record: a ProcessBatch of one record.
   Status Process(const Record& record);
 
-  /// Feeds a batch of records (non-decreasing timestamps). Produces results
-  /// and counters bit-identical to feeding the records one Process call at
-  /// a time, but runs the allocation-free batched runtime path
-  /// (ConfigurationRuntime::ProcessBatch / ShardedRuntime::ProcessBatch)
-  /// once planning is done. Sampling and adaptive epoch-boundary logic fall
-  /// back to the per-record path, so any mix of Process and ProcessBatch
-  /// calls is valid.
+  /// Feeds a batch of records. Every call takes the same path, whether the
+  /// engine is sampling, adaptive or under the overload controller: the
+  /// batch is cut at epoch boundaries, each boundary runs the epoch step
+  /// (snapshot capture, then the adaptive and overload controllers), and
+  /// each epoch run goes to the runtime's allocation-free ProcessBatch.
+  /// There is no per-record fallback. So any split of the stream into calls
+  /// gives the same results, the same counters (up to the cross-producer
+  /// interleave when num_producers > 1) and an exact telemetry_history():
+  /// one snapshot per completed planned epoch, holding exactly the records
+  /// up to that epoch's end.
+  ///
+  /// Timestamp contract: every timestamp must be finite, not below the
+  /// last accepted one (in this call or an earlier one) and, when epochs
+  /// are on, not negative. A batch with any record breaking it returns
+  /// InvalidArgument and changes no state. Records the shared where clause
+  /// drops are accepted records too. Any other error is an internal
+  /// planning failure (e.g. the memory budget cannot host the tables).
   Status ProcessBatch(std::span<const Record> records);
 
   /// Completes the current epoch (call at end of stream).
@@ -199,7 +209,7 @@ class StreamAggEngine {
 
   /// True once the sampling phase is over and a plan is live.
   bool planned() const {
-    return runtime_ != nullptr || sharded_runtime_ != nullptr;
+    return std::visit([](const auto& r) { return r != nullptr; }, runtime_);
   }
   /// The live configuration ("" while still sampling).
   std::string ConfigurationText() const;
@@ -230,7 +240,9 @@ class StreamAggEngine {
   const std::vector<TelemetrySnapshot>& telemetry_history() const {
     return telemetry_history_;
   }
-  int reoptimizations() const { return reoptimizations_; }
+  int reoptimizations() const {
+    return static_cast<int>(replan_events_.size());
+  }
   double last_optimize_millis() const { return last_optimize_millis_; }
   /// One ParsedQuery per query id (synthesized for def-built queries:
   /// grouping attributes, count(*), and the declared metrics as outputs).
@@ -272,7 +284,7 @@ class StreamAggEngine {
   /// When adaptive_options.auto_tune_trend is set, trend_epochs and
   /// widening_slack are first re-derived from the observed epoch-gap spread
   /// (AdaptiveController::AutoTuneTrend).
-  Status HandleEpochBoundary(uint64_t next_epoch);
+  Status HandleEpochBoundary();
 
   /// Epoch boundary (overload controller only): re-judges the shed plan
   /// against the freshly captured snapshot history and installs it into the
@@ -325,10 +337,9 @@ class StreamAggEngine {
   /// Records a churn event (telemetry section + flight-recorder instant).
   void RecordChurnEvent(QueryChurnEvent event);
 
-  /// Erases dense slot `dense` from queries_/dense_refcount_, shifts every
-  /// handle above it down and remaps the accumulated HFTA to the surviving
-  /// slots (dropping the slot's results and the Add target cache).
-  void RemoveDenseSlot(int dense);
+  /// Remaps the accumulated HFTA to the slots of queries_: slot i takes old
+  /// slot source[i], or starts empty when source[i] is -1.
+  void RemapAccumulatedHfta(const std::vector<int>& source);
 
   /// LFTA memory the optimizer may plan for: the budget split across
   /// shards, so instantiating the plan once per shard lands on the user's
@@ -342,17 +353,27 @@ class StreamAggEngine {
                         : budget;
   }
 
-  /// Routes a record into whichever runtime is live.
-  void RuntimeProcess(const Record& record);
+  /// Feeds records that passed the shared filter: buffers the sample until
+  /// it is full, then cuts the rest at epoch boundaries, runs the epoch step
+  /// at each boundary and hands each epoch run to the runtime.
+  Status Ingest(std::span<const Record> records);
 
-  /// Routes a planned, filtered batch into whichever runtime is live,
-  /// updating the engine's epoch bookkeeping from the batch's last record.
-  void RuntimeProcessBatch(std::span<const Record> records);
+  /// Filters a multi-record batch through a 256-record stack buffer into
+  /// Ingest. A separate function so that a one-record call never builds
+  /// the buffer.
+  Status IngestFiltered(std::span<const Record> records);
 
-  /// Folds the live runtime's counter growth since the last call into
-  /// total_counters_. Idempotent: calling it any number of times, at any
-  /// point, never double-counts (it tracks a baseline and adds deltas).
-  void AccumulateCounters();
+  /// Pushes the overload controller's shed plan into the live runtime.
+  Status InstallShedPlan();
+
+  /// Calls `f` with the live runtime (ConfigurationRuntime& or
+  /// ShardedRuntime&); requires planned(). Const so that const readers can
+  /// use it too; the runtime it passes is mutable either way.
+  template <typename F>
+  decltype(auto) WithRuntime(F&& f) const {
+    return std::visit([&](const auto& r) -> decltype(auto) { return f(*r); },
+                      runtime_);
+  }
 
   /// Attaches engine-level context to a runtime-built snapshot: total
   /// counters across swaps, the plan's predicted collision rates, and the
@@ -390,15 +411,19 @@ class StreamAggEngine {
   // Live state.
   std::unique_ptr<RelationCatalog> catalog_;  // Snapshot behind plan_.
   std::unique_ptr<OptimizedPlan> plan_;
-  /// Serial path (num_shards == 1 and num_producers == 1).
-  std::unique_ptr<ConfigurationRuntime> runtime_;
-  /// Parallel path (num_shards > 1 or num_producers > 1).
-  std::unique_ptr<ShardedRuntime> sharded_runtime_;
+  /// The live runtime: serial when num_shards == 1 and num_producers == 1,
+  /// sharded otherwise. Null (in either alternative) while sampling and
+  /// after Finish().
+  std::variant<std::unique_ptr<ConfigurationRuntime>,
+               std::unique_ptr<ShardedRuntime>>
+      runtime_;
   std::unique_ptr<Hfta> accumulated_hfta_;  // Results across runtime swaps.
   uint64_t current_epoch_ = 0;
   bool saw_record_ = false;
+  /// Timestamp of the last accepted record (the timestamp contract's floor).
+  double last_timestamp_ = -std::numeric_limits<double>::infinity();
   RuntimeCounters total_counters_;
-  /// Live runtime's counters as of the last AccumulateCounters (reset at
+  /// Live runtime's counters as of the last TakeRuntimeResults (reset at
   /// every InstallRuntime); makes accumulation idempotent by construction.
   RuntimeCounters live_counter_baseline_;
   /// Cost-model collision-rate predictions for the live plan, indexed like
@@ -423,7 +448,6 @@ class StreamAggEngine {
   std::unique_ptr<OverloadController> overload_controller_;
   /// Snapshot taken inside Finish() before the runtime is torn down.
   std::unique_ptr<TelemetrySnapshot> final_snapshot_;
-  int reoptimizations_ = 0;
   double last_optimize_millis_ = 0.0;
 };
 

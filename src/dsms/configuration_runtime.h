@@ -91,7 +91,7 @@ struct RuntimeCounters {
   /// Per-field difference against an earlier snapshot of the same
   /// (monotonically growing) counter set: the delta a runtime accumulated
   /// since `baseline` was captured. The idempotence backbone of
-  /// StreamAggEngine::AccumulateCounters.
+  /// StreamAggEngine::TakeRuntimeResults.
   RuntimeCounters Since(const RuntimeCounters& baseline) const {
     RuntimeCounters d;
     d.records = records - baseline.records;

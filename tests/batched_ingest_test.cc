@@ -9,6 +9,9 @@
 #include <cstdlib>
 #include <new>
 #include <span>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +22,7 @@
 #include "dsms/hfta.h"
 #include "dsms/sharded_runtime.h"
 #include "stream/flow_generator.h"
+#include "stream/uniform_generator.h"
 #include "stream/zipf_generator.h"
 #include "util/random.h"
 
@@ -225,7 +229,10 @@ TEST(BatchedIngestTest, ShardedBatchedMatchesShardedPerRecord) {
 
 TEST(BatchedIngestTest, EngineBatchedMatchesPerRecord) {
   // End to end through StreamAggEngine, including the sampling-phase
-  // crossover landing mid-batch.
+  // crossover landing mid-batch and (at 12000) one call spanning a whole
+  // 10000-record epoch. The epoch history must match too: one snapshot per
+  // completed epoch, each holding exactly the records up to that epoch's
+  // end, however the stream was cut into calls.
   const Trace trace = ZipfTrace(0xe6);
   const Schema& schema = trace.schema();
   std::vector<QueryDef> queries = {QueryDef(*schema.ParseAttributeSet("AB")),
@@ -236,6 +243,7 @@ TEST(BatchedIngestTest, EngineBatchedMatchesPerRecord) {
   options.sample_size = 5000;
   options.epoch_seconds = 3.0;
   options.clustered = false;
+  options.telemetry_epoch_snapshots = true;
 
   auto per_record =
       std::move(StreamAggEngine::FromQueryDefs(schema, queries, options))
@@ -245,7 +253,8 @@ TEST(BatchedIngestTest, EngineBatchedMatchesPerRecord) {
   }
   ASSERT_TRUE(per_record->Finish().ok());
 
-  for (size_t batch : {size_t{64}, size_t{997}}) {
+  ASSERT_EQ(per_record->telemetry_history().size(), 3u);
+  for (size_t batch : {size_t{64}, size_t{997}, size_t{12000}}) {
     auto engine =
         std::move(StreamAggEngine::FromQueryDefs(schema, queries, options))
             .value();
@@ -259,6 +268,15 @@ TEST(BatchedIngestTest, EngineBatchedMatchesPerRecord) {
 
     const std::string label = "engine batch=" + std::to_string(batch);
     ExpectCountersEqual(engine->counters(), per_record->counters(), label);
+    const std::vector<TelemetrySnapshot>& history = engine->telemetry_history();
+    const std::vector<TelemetrySnapshot>& expected =
+        per_record->telemetry_history();
+    ASSERT_EQ(history.size(), expected.size()) << label;
+    for (size_t i = 0; i < history.size(); ++i) {
+      EXPECT_EQ(history[i].epoch, expected[i].epoch) << label;
+      EXPECT_EQ(history[i].counters.records, expected[i].counters.records)
+          << label << " snapshot " << i;
+    }
     for (size_t q = 0; q < queries.size(); ++q) {
       const std::vector<uint64_t> epochs =
           engine->Epochs(static_cast<int>(q));
@@ -268,6 +286,153 @@ TEST(BatchedIngestTest, EngineBatchedMatchesPerRecord) {
                     per_record->EpochResult(static_cast<int>(q), epoch))
             << label << " query " << q << " epoch " << epoch;
       }
+    }
+  }
+}
+
+TEST(BatchedIngestTest, EngineCallSplitsAgreeUnderAdaptiveOverloadAndChurn) {
+  // Every engine mechanism that acts at an epoch boundary or a plan change
+  // at once: adaptive re-planning (a 15x group blow-up at epoch 3), an idle
+  // overload controller and an AddQuery/DropQuery pair. Whatever the split
+  // into calls (1, 64, or more than one 20000-record epoch per call) and
+  // the P x S split (1x1, 1x2, 2x2), the results, the record counts, the
+  // epoch history, the churn events and the re-plan epochs and triggers
+  // agree. Within one P x S split the re-plan events agree whole; across
+  // splits their node counts and drift may not, since per-shard tables
+  // are sized and collide differently. For P = 2 a multi-record call is striped
+  // across producer threads, so a shard's probe order follows thread
+  // timing: the full counters and the measured drift are compared for
+  // P = 1 only.
+  const Schema schema = *Schema::Default(4);
+  Trace trace(schema);
+  for (const auto& [groups, offset, seed] :
+       {std::tuple{uint64_t{400}, 0.0, uint64_t{31}},
+        std::tuple{uint64_t{6000}, 6.0, uint64_t{32}}}) {
+    auto gen = std::move(UniformGenerator::Make(schema, groups, seed)).value();
+    for (size_t i = 0; i < 60000; ++i) {
+      Record r = gen->Next();
+      r.timestamp = offset + 6.0 * static_cast<double>(i) / 60000.0;
+      trace.Append(r);
+    }
+  }
+  const std::vector<Record>& records = trace.records();
+  const std::vector<QueryDef> queries = {
+      QueryDef(*schema.ParseAttributeSet("AB")),
+      QueryDef(*schema.ParseAttributeSet("CD"))};
+  const QueryDef added(*schema.ParseAttributeSet("BC"));
+  constexpr size_t kAddAt = 25000;   // Epoch 1, after sampling.
+  constexpr size_t kDropAt = 50000;  // Epoch 2.
+
+  struct Run {
+    std::unique_ptr<StreamAggEngine> engine;
+    std::string label;
+    int producers;
+  };
+  std::vector<Run> runs;
+  for (const auto& [producers, shards] : {std::pair{1, 1}, std::pair{1, 2},
+                                          std::pair{2, 2}}) {
+    for (size_t batch : {size_t{1}, size_t{64}, size_t{25000}}) {
+      StreamAggEngine::Options options;
+      options.memory_words = 30000.0;
+      options.sample_size = 10000;
+      options.epoch_seconds = 2.0;
+      options.clustered = false;
+      options.adaptive = true;
+      options.num_producers = producers;
+      options.num_shards = shards;
+      options.overload.enabled = true;
+      options.overload.queue_blocked_fraction = 1e9;  // Never reachable.
+      options.overload.epoch_gap_watermark_ns = 0;    // Signal disabled.
+      options.overload.min_shed_fraction = 0.0;
+      auto engine =
+          std::move(StreamAggEngine::FromQueryDefs(schema, queries, options))
+              .value();
+      const std::string label = "P=" + std::to_string(producers) + " S=" +
+                                std::to_string(shards) +
+                                " batch=" + std::to_string(batch);
+      // Calls never straddle a churn point, so every run churns at the
+      // same record.
+      const auto feed = [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; i += batch) {
+          const size_t n = std::min(batch, end - i);
+          const Status status =
+              n == 1 ? engine->Process(records[i])
+                     : engine->ProcessBatch(
+                           std::span<const Record>(&records[i], n));
+          ASSERT_TRUE(status.ok()) << label << ": " << status.ToString();
+        }
+      };
+      feed(0, kAddAt);
+      ASSERT_TRUE(engine->AddQuery(added).ok()) << label;
+      feed(kAddAt, kDropAt);
+      ASSERT_TRUE(engine->DropQuery(0).ok()) << label;
+      feed(kDropAt, records.size());
+      ASSERT_TRUE(engine->Finish().ok()) << label;
+      runs.push_back(Run{std::move(engine), label, producers});
+    }
+  }
+
+  const StreamAggEngine& base = *runs.front().engine;
+  ASSERT_GE(base.reoptimizations(), 1);
+  ASSERT_EQ(base.churn_events().size(), 2u);
+  for (size_t r = 1; r < runs.size(); ++r) {
+    const StreamAggEngine& engine = *runs[r].engine;
+    const std::string& label = runs[r].label;
+    // The first run of each P x S split (batch 1) anchors the re-plan
+    // comparison and, for P = 1, the counters.
+    const StreamAggEngine& split_base = *runs[r - r % 3].engine;
+    ASSERT_EQ(engine.num_query_ids(), base.num_query_ids()) << label;
+    for (int q = 0; q < base.num_query_ids(); ++q) {
+      ASSERT_EQ(engine.Epochs(q), base.Epochs(q)) << label << " query " << q;
+      for (uint64_t epoch : base.Epochs(q)) {
+        EXPECT_TRUE(engine.EpochResult(q, epoch) == base.EpochResult(q, epoch))
+            << label << " query " << q << " epoch " << epoch;
+      }
+    }
+    EXPECT_EQ(engine.counters().records, base.counters().records) << label;
+    if (runs[r].producers == 1) {
+      ExpectCountersEqual(engine.counters(), split_base.counters(), label);
+    }
+    const std::vector<TelemetrySnapshot>& history = engine.telemetry_history();
+    ASSERT_EQ(history.size(), base.telemetry_history().size()) << label;
+    for (size_t i = 0; i < history.size(); ++i) {
+      EXPECT_EQ(history[i].epoch, base.telemetry_history()[i].epoch) << label;
+      EXPECT_EQ(history[i].counters.records,
+                base.telemetry_history()[i].counters.records)
+          << label << " snapshot " << i;
+    }
+    ASSERT_EQ(engine.churn_events().size(), base.churn_events().size());
+    for (size_t i = 0; i < base.churn_events().size(); ++i) {
+      const QueryChurnEvent& got = engine.churn_events()[i];
+      const QueryChurnEvent& want = base.churn_events()[i];
+      EXPECT_EQ(got.epoch, want.epoch) << label;
+      EXPECT_EQ(got.add, want.add) << label;
+      EXPECT_EQ(got.query_id, want.query_id) << label;
+      EXPECT_EQ(got.relation, want.relation) << label;
+      EXPECT_EQ(got.grafted, want.grafted) << label;
+      EXPECT_EQ(got.replanned_nodes, want.replanned_nodes) << label;
+      EXPECT_EQ(got.pinned_nodes, want.pinned_nodes) << label;
+    }
+    // Every split re-plans at the same boundaries for the same relation;
+    // the re-planned subtree depends on the per-shard budget, so node
+    // counts (and for P = 1 the drift) are compared within a split.
+    const std::vector<ReplanEvent> replans = engine.telemetry().replans;
+    const std::vector<ReplanEvent> base_replans = base.telemetry().replans;
+    const std::vector<ReplanEvent> want_replans =
+        split_base.telemetry().replans;
+    ASSERT_EQ(replans.size(), base_replans.size()) << label;
+    ASSERT_EQ(replans.size(), want_replans.size()) << label;
+    for (size_t i = 0; i < replans.size(); ++i) {
+      EXPECT_EQ(replans[i].epoch, base_replans[i].epoch) << label;
+      EXPECT_EQ(replans[i].trigger_relation, base_replans[i].trigger_relation)
+          << label;
+      if (runs[r].producers == 1) {
+        EXPECT_EQ(replans[i].drift, want_replans[i].drift) << label;
+      }
+      EXPECT_EQ(replans[i].replanned_nodes, want_replans[i].replanned_nodes)
+          << label;
+      EXPECT_EQ(replans[i].pinned_nodes, want_replans[i].pinned_nodes)
+          << label;
     }
   }
 }

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "dsms/reference_aggregator.h"
 #include "stream/uniform_generator.h"
@@ -384,6 +388,128 @@ TEST(StreamAggEngineTest, TelemetryEpochHistoryIsBoundedAndLabeled) {
     // Cumulative counters only grow along the history.
     EXPECT_LE(history[i - 1].counters.records, history[i].counters.records);
   }
+}
+
+TEST(StreamAggEngineTest, TimestampContractRejectsWithoutStateChange) {
+  // Non-finite, late and (with epochs on) negative timestamps return
+  // InvalidArgument and change nothing: after every rejection the engine
+  // takes the rest of the stream and ends bit-identical to a clean run —
+  // results, record count and an epoch history labeled 0, 1, 2, ... with no
+  // repeated label. Covered per record and batched (a bad record inside a
+  // batch rejects the whole batch, its valid records included), before and
+  // after planning, on the serial and the 2x2 engine.
+  const Trace trace = UniformTrace(800, 40000, 9);  // Epochs 0..4.
+  const std::vector<Record>& records = trace.records();
+  const Schema& schema = trace.schema();
+  const std::vector<QueryDef> queries = {
+      QueryDef(*schema.ParseAttributeSet("AB")),
+      QueryDef(*schema.ParseAttributeSet("CD"))};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+
+  for (const auto& [producers, shards] : {std::pair{1, 1}, std::pair{2, 2}}) {
+    StreamAggEngine::Options options = BaseOptions();
+    options.sample_size = 5000;
+    options.telemetry_epoch_snapshots = true;
+    options.num_producers = producers;
+    options.num_shards = shards;
+    auto clean =
+        std::move(StreamAggEngine::FromQueryDefs(schema, queries, options))
+            .value();
+    ASSERT_TRUE(clean->ProcessBatch(records).ok());
+    ASSERT_TRUE(clean->Finish().ok());
+
+    for (bool batched : {false, true}) {
+      const std::string label = "P=" + std::to_string(producers) +
+                                " S=" + std::to_string(shards) +
+                                (batched ? " batched" : " per-record");
+      auto engine =
+          std::move(StreamAggEngine::FromQueryDefs(schema, queries, options))
+              .value();
+      // Feeds `bad` (a copy of record `at` with that timestamp), expecting a
+      // rejection; batched, it sits between two valid records.
+      const auto reject = [&](size_t at, double bad) {
+        Record r = records[at];
+        r.timestamp = bad;
+        Status status;
+        if (batched) {
+          const std::vector<Record> batch = {records[at], r, records[at]};
+          status = engine->ProcessBatch(batch);
+        } else {
+          status = engine->Process(r);
+        }
+        EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+            << label << " timestamp " << bad << " at " << at;
+      };
+      const auto feed = [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          ASSERT_TRUE(engine->Process(records[i]).ok()) << label;
+        }
+      };
+      // Before the first record: the sampling phase must not move either.
+      reject(0, -3.0);
+      reject(0, nan);
+      feed(0, 1000);
+      reject(1000, records[999].timestamp - 1e-3);  // Late, while sampling.
+      feed(1000, 25000);  // Planned; epoch 2 in flight.
+      for (double bad : {nan, inf, -inf, -3.0, records[0].timestamp,
+                         records[24999].timestamp - 1e-3}) {
+        reject(25000, bad);
+      }
+      // A batch that goes backwards within itself is late too.
+      if (batched) {
+        const std::vector<Record> backwards = {records[25001],
+                                               records[25000]};
+        EXPECT_EQ(engine->ProcessBatch(backwards).code(),
+                  StatusCode::kInvalidArgument)
+            << label;
+      }
+      feed(25000, records.size());
+      ASSERT_TRUE(engine->Finish().ok()) << label;
+
+      EXPECT_EQ(engine->counters().records, records.size()) << label;
+      for (int q = 0; q < 2; ++q) {
+        ASSERT_EQ(engine->Epochs(q), clean->Epochs(q)) << label;
+        for (uint64_t epoch : clean->Epochs(q)) {
+          EXPECT_TRUE(engine->EpochResult(q, epoch) ==
+                      clean->EpochResult(q, epoch))
+              << label << " query " << q << " epoch " << epoch;
+        }
+      }
+      const std::vector<TelemetrySnapshot>& history =
+          engine->telemetry_history();
+      ASSERT_EQ(history.size(), clean->telemetry_history().size()) << label;
+      for (size_t i = 0; i < history.size(); ++i) {
+        EXPECT_EQ(history[i].epoch, i) << label;
+        EXPECT_EQ(history[i].counters.records,
+                  clean->telemetry_history()[i].counters.records)
+            << label;
+      }
+    }
+  }
+}
+
+TEST(StreamAggEngineTest, EpochlessEngineAcceptsNegativeTimestamps) {
+  // Without epochs the timestamp only orders the stream: negative values
+  // are fine, non-finite and late ones are still rejected.
+  const Trace trace = UniformTrace(100, 1000, 3);
+  StreamAggEngine::Options options = BaseOptions();
+  options.epoch_seconds = 0.0;
+  options.sample_size = 100;
+  auto engine = std::move(StreamAggEngine::FromQueryDefs(
+                              trace.schema(),
+                              {QueryDef(*trace.schema().ParseAttributeSet("AB"))},
+                              options))
+                    .value();
+  std::vector<Record> records = trace.records();
+  for (Record& r : records) r.timestamp -= 100.0;
+  ASSERT_TRUE(engine->ProcessBatch(records).ok());
+  Record late = records.front();
+  EXPECT_EQ(engine->Process(late).code(), StatusCode::kInvalidArgument);
+  late.timestamp = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(engine->Process(late).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(engine->Finish().ok());
+  EXPECT_EQ(engine->counters().records, records.size());
 }
 
 TEST(StreamAggEngineTest, TelemetryHistoryCapHoldsOnLongRuns) {

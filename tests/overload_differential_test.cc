@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,16 +66,25 @@ struct Split {
 };
 constexpr Split kSplits[] = {{1, 1}, {1, 4}, {2, 1}, {2, 4}};
 
-/// Feeds `trace` through a fresh engine and returns it finished.
+/// Records per ingest call: Process per record, a typical batch, and a
+/// batch longer than the traces' 10000-record epochs.
+constexpr size_t kBatches[] = {1, 64, 12000};
+
+/// Feeds `trace` through a fresh engine, `batch` records per call (1 =
+/// Process), and returns it finished.
 std::unique_ptr<StreamAggEngine> RunEngine(
     const Trace& trace, const std::vector<QueryDef>& queries,
-    const StreamAggEngine::Options& options) {
+    const StreamAggEngine::Options& options, size_t batch) {
   auto engine =
       StreamAggEngine::FromQueryDefs(trace.schema(), queries, options);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   if (!engine.ok()) return nullptr;
-  for (const Record& r : trace.records()) {
-    const Status status = (*engine)->Process(r);
+  const std::span<const Record> records(trace.records());
+  for (size_t i = 0; i < records.size(); i += batch) {
+    const Status status =
+        batch == 1 ? (*engine)->Process(records[i])
+                   : (*engine)->ProcessBatch(records.subspan(
+                         i, std::min(batch, records.size() - i)));
     EXPECT_TRUE(status.ok()) << status.ToString();
     if (!status.ok()) return nullptr;
   }
@@ -119,8 +130,6 @@ TEST(OverloadDifferentialTest, IdleControllerIsBitIdenticalOnAllSplits) {
   const std::vector<QueryDef> queries = TwoQueries(trace.schema());
 
   for (const Split& split : kSplits) {
-    SCOPED_TRACE("producers=" + std::to_string(split.producers) +
-                 " shards=" + std::to_string(split.shards));
     const StreamAggEngine::Options baseline =
         BaseOptions(split.producers, split.shards);
     StreamAggEngine::Options overload = baseline;
@@ -130,23 +139,36 @@ TEST(OverloadDifferentialTest, IdleControllerIsBitIdenticalOnAllSplits) {
     overload.overload.min_shed_fraction = 0.0;
     overload.overload.rebalance = false;
 
-    auto a = RunEngine(trace, queries, baseline);
-    auto b = RunEngine(trace, queries, overload);
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
+    for (size_t batch : kBatches) {
+      SCOPED_TRACE("producers=" + std::to_string(split.producers) +
+                   " shards=" + std::to_string(split.shards) +
+                   " batch=" + std::to_string(batch));
+      auto a = RunEngine(trace, queries, baseline, batch);
+      auto b = RunEngine(trace, queries, overload, batch);
+      ASSERT_NE(a, nullptr);
+      ASSERT_NE(b, nullptr);
 
-    ExpectMatchesReference(*a, trace, queries, 2.0);
-    ExpectMatchesReference(*b, trace, queries, 2.0);
-    EXPECT_TRUE(a->counters() == b->counters());
-    EXPECT_EQ(b->counters().shed_probes, 0u);
+      ExpectMatchesReference(*a, trace, queries, 2.0);
+      ExpectMatchesReference(*b, trace, queries, 2.0);
+      // With P > 1 a multi-record call is striped across producer threads,
+      // so the order a shard sees records in — hence its collision and
+      // eviction counts — follows thread timing (docs/runtime.md §3). Every
+      // other call shape feeds each table in stream order.
+      if (split.producers == 1 || batch == 1) {
+        EXPECT_TRUE(a->counters() == b->counters());
+      } else {
+        EXPECT_EQ(a->counters().records, b->counters().records);
+      }
+      EXPECT_EQ(b->counters().shed_probes, 0u);
 
-    // The controller is on the record even when idle: the telemetry section
-    // is present (enabled) with a zero realized fraction.
-    const TelemetrySnapshot snapshot = b->telemetry();
-    EXPECT_TRUE(snapshot.shedding.enabled);
-    EXPECT_EQ(snapshot.shedding.shed_probes, 0u);
-    EXPECT_DOUBLE_EQ(snapshot.shedding.shed_fraction, 0.0);
-    EXPECT_FALSE(a->telemetry().shedding.enabled);
+      // The controller is on the record even when idle: the telemetry
+      // section is present (enabled) with a zero realized fraction.
+      const TelemetrySnapshot snapshot = b->telemetry();
+      EXPECT_TRUE(snapshot.shedding.enabled);
+      EXPECT_EQ(snapshot.shedding.shed_probes, 0u);
+      EXPECT_DOUBLE_EQ(snapshot.shedding.shed_fraction, 0.0);
+      EXPECT_FALSE(a->telemetry().shedding.enabled);
+    }
   }
 }
 
@@ -161,49 +183,52 @@ TEST(OverloadDifferentialTest, ShedFloorDropsExactlyOnSerialEngine) {
 
   for (const TelemetryLevel level :
        {TelemetryLevel::kCounters, TelemetryLevel::kFull}) {
-    SCOPED_TRACE("level=" + std::to_string(static_cast<int>(level)));
-    StreamAggEngine::Options options = BaseOptions(1, 1);
-    options.telemetry_level = level;
-    options.overload.enabled = true;
-    options.overload.min_shed_fraction = 0.5;
-    auto engine = RunEngine(trace, queries, options);
-    ASSERT_NE(engine, nullptr);
+    for (size_t batch : kBatches) {
+      SCOPED_TRACE("level=" + std::to_string(static_cast<int>(level)) +
+                   " batch=" + std::to_string(batch));
+      StreamAggEngine::Options options = BaseOptions(1, 1);
+      options.telemetry_level = level;
+      options.overload.enabled = true;
+      options.overload.min_shed_fraction = 0.5;
+      auto engine = RunEngine(trace, queries, options, batch);
+      ASSERT_NE(engine, nullptr);
 
-    const TelemetrySnapshot snapshot = engine->telemetry();
-    const SheddingTelemetry& shedding = snapshot.shedding;
-    ASSERT_TRUE(shedding.enabled);
-    EXPECT_DOUBLE_EQ(shedding.target_fraction, 0.5);
-    const uint64_t offered = shedding.offered_records;
-    EXPECT_EQ(offered, trace.size());
-    ASSERT_FALSE(shedding.relations.empty());
+      const TelemetrySnapshot snapshot = engine->telemetry();
+      const SheddingTelemetry& shedding = snapshot.shedding;
+      ASSERT_TRUE(shedding.enabled);
+      EXPECT_DOUBLE_EQ(shedding.target_fraction, 0.5);
+      const uint64_t offered = shedding.offered_records;
+      EXPECT_EQ(offered, trace.size());
+      ASSERT_FALSE(shedding.relations.empty());
 
-    uint64_t total_shed = 0;
-    for (const SheddingRelationTelemetry& rel : shedding.relations) {
-      // Numerator 512/1024 diffuses to exactly every second record.
-      EXPECT_EQ(rel.shed_records, offered / 2) << rel.relation;
-      EXPECT_DOUBLE_EQ(rel.shed_fraction, 0.5) << rel.relation;
-      total_shed += rel.shed_records;
-      // The books close at the raw table: offered = probed + shed.
-      bool found = false;
-      for (const TableTelemetry& table : snapshot.tables) {
-        if (table.relation != rel.relation || table.parent >= 0) continue;
-        EXPECT_EQ(table.probes + rel.shed_records, offered) << rel.relation;
-        found = true;
+      uint64_t total_shed = 0;
+      for (const SheddingRelationTelemetry& rel : shedding.relations) {
+        // Numerator 512/1024 diffuses to exactly every second record.
+        EXPECT_EQ(rel.shed_records, offered / 2) << rel.relation;
+        EXPECT_DOUBLE_EQ(rel.shed_fraction, 0.5) << rel.relation;
+        total_shed += rel.shed_records;
+        // The books close at the raw table: offered = probed + shed.
+        bool found = false;
+        for (const TableTelemetry& table : snapshot.tables) {
+          if (table.relation != rel.relation || table.parent >= 0) continue;
+          EXPECT_EQ(table.probes + rel.shed_records, offered) << rel.relation;
+          found = true;
+        }
+        EXPECT_TRUE(found) << "no raw table for " << rel.relation;
       }
-      EXPECT_TRUE(found) << "no raw table for " << rel.relation;
-    }
-    EXPECT_EQ(shedding.shed_probes, total_shed);
-    EXPECT_EQ(engine->counters().shed_probes, total_shed);
-    EXPECT_DOUBLE_EQ(
-        shedding.shed_fraction,
-        static_cast<double>(total_shed) /
-            (static_cast<double>(offered) *
-             static_cast<double>(shedding.relations.size())));
+      EXPECT_EQ(shedding.shed_probes, total_shed);
+      EXPECT_EQ(engine->counters().shed_probes, total_shed);
+      EXPECT_DOUBLE_EQ(
+          shedding.shed_fraction,
+          static_cast<double>(total_shed) /
+              (static_cast<double>(offered) *
+               static_cast<double>(shedding.relations.size())));
 
-    // The shedding section survives the JSON round trip at both tiers.
-    auto parsed = TelemetrySnapshot::FromJsonLine(snapshot.ToJsonLine());
-    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-    EXPECT_TRUE(parsed->shedding == shedding);
+      // The shedding section survives the JSON round trip at both tiers.
+      auto parsed = TelemetrySnapshot::FromJsonLine(snapshot.ToJsonLine());
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      EXPECT_TRUE(parsed->shedding == shedding);
+    }
   }
 }
 
@@ -222,30 +247,33 @@ TEST(OverloadDifferentialTest, SustainedOverloadShedsAndAccountsExactly) {
   options.overload.enabled = true;
   options.overload.min_shed_fraction = 0.5;  // --overload 2: 1 - 1/2.
   options.overload.queue_blocked_fraction = 0.02;
-  auto engine = RunEngine(trace, queries, options);
-  ASSERT_NE(engine, nullptr);
-  EXPECT_EQ(engine->counters().records, trace.size());
+  for (size_t batch : kBatches) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    auto engine = RunEngine(trace, queries, options, batch);
+    ASSERT_NE(engine, nullptr);
+    EXPECT_EQ(engine->counters().records, trace.size());
 
-  const SheddingTelemetry& shedding = engine->telemetry().shedding;
-  ASSERT_TRUE(shedding.enabled);
-  EXPECT_GT(shedding.shed_probes, 0u);
-  EXPECT_GT(shedding.shed_fraction, 0.0);
-  uint64_t total_shed = 0;
-  for (const SheddingRelationTelemetry& rel : shedding.relations) {
-    total_shed += rel.shed_records;
+    const SheddingTelemetry& shedding = engine->telemetry().shedding;
+    ASSERT_TRUE(shedding.enabled);
+    EXPECT_GT(shedding.shed_probes, 0u);
+    EXPECT_GT(shedding.shed_fraction, 0.0);
+    uint64_t total_shed = 0;
+    for (const SheddingRelationTelemetry& rel : shedding.relations) {
+      total_shed += rel.shed_records;
+    }
+    EXPECT_EQ(shedding.shed_probes, total_shed);
+    EXPECT_EQ(engine->counters().shed_probes, total_shed);
+    EXPECT_DOUBLE_EQ(
+        shedding.shed_fraction,
+        static_cast<double>(total_shed) /
+            (static_cast<double>(shedding.offered_records) *
+             static_cast<double>(shedding.relations.size())));
+    // At a sustained 2x floor essentially half of every relation's probes
+    // shed — each shard's accumulator floors independently, so the realized
+    // fraction sits within one record per shard of 0.5.
+    EXPECT_GT(shedding.shed_fraction, 0.499);
+    EXPECT_LE(shedding.shed_fraction, 0.5);
   }
-  EXPECT_EQ(shedding.shed_probes, total_shed);
-  EXPECT_EQ(engine->counters().shed_probes, total_shed);
-  EXPECT_DOUBLE_EQ(
-      shedding.shed_fraction,
-      static_cast<double>(total_shed) /
-          (static_cast<double>(shedding.offered_records) *
-           static_cast<double>(shedding.relations.size())));
-  // At a sustained 2x floor essentially half of every relation's probes
-  // shed — each shard's accumulator floors independently, so the realized
-  // fraction sits within one record per shard of 0.5.
-  EXPECT_GT(shedding.shed_fraction, 0.499);
-  EXPECT_LE(shedding.shed_fraction, 0.5);
 }
 
 TEST(OverloadDifferentialTest, MidRunIngestRemapKeepsResultsExact) {
