@@ -41,8 +41,8 @@ bool SustainedTrend(std::span<const double> window, double floor,
 ///    rates are recovered from consecutive TelemetrySnapshot deltas and a
 ///    re-plan is recommended only after `trend_epochs` consecutive epochs of
 ///    sustained (non-shrinking) drift beyond the thresholds. The verdict
-///    names the drifted tables so the engine can re-plan just their feeding
-///    trees (Optimizer::ReplanSubtrees). See docs/runtime.md §4.
+///    names the drifted tables so the engine can take fresh statistics for
+///    their feeding trees before it re-optimizes. See docs/runtime.md §4.
 class AdaptiveController {
  public:
   struct Options {

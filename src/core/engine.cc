@@ -41,14 +41,6 @@ Status StreamAggEngine::ValidateOptions(const Options& options) {
         "Options::overload.enabled requires Options::telemetry_level above "
         "kOff (got kOff)");
   }
-  if (!(options.churn_reserve_fraction >= 0.0 &&
-        options.churn_reserve_fraction <= 0.9)) {
-    char value[32];
-    std::snprintf(value, sizeof(value), "%g", options.churn_reserve_fraction);
-    return Status::InvalidArgument(
-        "Options::churn_reserve_fraction must be in [0, 0.9] (got " +
-        std::string(value) + ")");
-  }
   // adaptive composes with num_shards/num_producers: the drift check and
   // plan swap run at the sharded runtime's quiescence barrier. Query churn
   // composes with all of the above — AddQuery/DropQuery act at the same
@@ -379,20 +371,17 @@ Status StreamAggEngine::HandleEpochBoundary() {
     }
   }
   std::set<uint32_t> drifted_masks;
-  int pinned_nodes = 0;
   for (int i = 0; i < config.num_nodes(); ++i) {
     if (drifted_roots.count(tree_root[static_cast<size_t>(i)]) > 0) {
       drifted_masks.insert(config.node(i).attrs.mask());
-    } else {
-      ++pinned_nodes;
     }
   }
 
-  // Fresh statistics from live (pre-flush) table occupancy — the serial
-  // runtime has not flushed the boundary yet, and the sharded runtime was
-  // quiesced (not flushed) by the capture above. Only the drifted trees'
-  // relations take fresh estimates: the pinned trees must re-cost exactly
-  // as before, and the rest of the catalog keeps its prior statistics.
+  // The merged catalog: fresh statistics from live (pre-flush) table
+  // occupancy for the drifted trees' relations — the serial runtime has not
+  // flushed the boundary yet, and the sharded runtime was quiesced (not
+  // flushed) by the capture above — and the prior statistics everywhere
+  // else, so relations that did not drift re-cost exactly as before.
   const std::map<uint32_t, uint64_t> estimates = WithRuntime(
       [&](auto& runtime) { return controller.EstimateGroupCounts(runtime); });
   std::vector<AttributeSet> group_bys;
@@ -416,21 +405,6 @@ Status StreamAggEngine::HandleEpochBoundary() {
       RelationCatalog next_catalog,
       RelationCatalog::Synthetic(schema_, std::move(counts), flow_length));
 
-  // Retire the current runtime at the boundary: flush its epoch, take over
-  // its results and keep its counters, then swap in the re-planned
-  // configuration. The barrier work is timed into the event's merge_millis
-  // — the swap-latency companion to optimize_millis (docs/observability.md).
-  const double merge_millis = PlanChangeBarrier();
-
-  catalog_ = std::make_unique<RelationCatalog>(std::move(next_catalog));
-  std::vector<int> drifted_nodes(verdict.drifted_tables.begin(),
-                                 verdict.drifted_tables.end());
-  STREAMAGG_ASSIGN_OR_RETURN(
-      OptimizedPlan plan,
-      optimizer_.ReplanSubtrees(*catalog_, *plan_, drifted_nodes,
-                                PlanningBudget()));
-  last_optimize_millis_ = plan.optimize_millis;
-
   ReplanEvent event;
   event.epoch = current_epoch_;  // The epoch whose boundary this is.
   if (verdict.max_table >= 0 && verdict.max_table < config.num_nodes()) {
@@ -438,19 +412,19 @@ Status StreamAggEngine::HandleEpochBoundary() {
         schema_.FormatAttributeSet(config.node(verdict.max_table).attrs);
   }
   event.drift = verdict.max_drift;
-  event.pinned_nodes = pinned_nodes;
-  event.replanned_nodes =
-      std::max(0, plan.config.num_nodes() - pinned_nodes);
-  event.optimize_millis = plan.optimize_millis;
-  event.merge_millis = merge_millis;
+  STREAMAGG_ASSIGN_OR_RETURN(
+      const PlanChange change,
+      ChangePlan(queries_,
+                 std::make_unique<RelationCatalog>(std::move(next_catalog)),
+                 [] {}));
+  event.replanned_nodes = change.nodes;
+  event.optimize_millis = change.optimize_millis;
+  event.merge_millis = change.merge_millis;
   replan_events_.push_back(std::move(event));
-
-  plan_ = std::make_unique<OptimizedPlan>(std::move(plan));
-  STREAMAGG_RETURN_NOT_OK(InstallRuntime());
   STREAMAGG_TRACE(if (replan_start != 0) {
-    // Covers the whole swap: retire-flush + HFTA merge, re-estimate,
-    // re-optimize, and runtime rebuild — the replan latency a Chrome trace
-    // shows as one block at the epoch boundary.
+    // Covers the whole swap: re-estimate, re-optimize, retire-flush + HFTA
+    // merge, and runtime rebuild — the replan latency a Chrome trace shows
+    // as one block at the epoch boundary.
     FlightRecorder::Instance().RecordSpan(
         TraceEventType::kReplanSwap, replan_start, current_epoch_,
         static_cast<uint32_t>(replan_events_.back().replanned_nodes),
@@ -495,6 +469,7 @@ Status StreamAggEngine::Process(const Record& record) {
 }
 
 Status StreamAggEngine::ProcessBatch(std::span<const Record> records) {
+  STREAMAGG_RETURN_NOT_OK(CheckNotFinished("ProcessBatch"));
   // The timestamp contract is checked for the whole batch before any state
   // changes, so a rejected batch leaves the engine exactly as it was.
   double last = last_timestamp_;
@@ -603,6 +578,8 @@ Status StreamAggEngine::Ingest(std::span<const Record> records) {
 }
 
 Status StreamAggEngine::Finish() {
+  if (finished_) return Status::OK();
+  finished_ = true;
   if (!planned() && sample_ != nullptr && sample_->size() > 0) {
     // Short stream: plan from whatever was collected.
     STREAMAGG_RETURN_NOT_OK(PlanFromSample());
@@ -621,7 +598,14 @@ Status StreamAggEngine::Finish() {
   return Status::OK();
 }
 
+Status StreamAggEngine::CheckNotFinished(const char* call) const {
+  if (!finished_) return Status::OK();
+  return Status::FailedPrecondition(std::string(call) +
+                                    " after Finish(): the stream has ended");
+}
+
 Result<int> StreamAggEngine::AddQuery(const std::string& text) {
+  STREAMAGG_RETURN_NOT_OK(CheckNotFinished("AddQuery"));
   QueryParseContext context;
   if (!relation_name_.empty()) context.relations.push_back(relation_name_);
   STREAMAGG_ASSIGN_OR_RETURN(ParsedQuery parsed,
@@ -635,13 +619,10 @@ Result<int> StreamAggEngine::AddQuery(const std::string& text) {
                     parsed.epoch_seconds, options_.epoch_seconds);
       return Status::InvalidArgument(buffer);
     }
-    if (options_.epoch_seconds == 0.0) {
-      if (saw_record_ || planned()) {
-        return Status::FailedPrecondition(
-            "cannot introduce an epoch after records have flowed; the "
-            "engine runs epochless");
-      }
-      options_.epoch_seconds = parsed.epoch_seconds;
+    if (options_.epoch_seconds == 0.0 && (saw_record_ || planned())) {
+      return Status::FailedPrecondition(
+          "cannot introduce an epoch after records have flowed; the "
+          "engine runs epochless");
     }
   }
   if (!(parsed.filters == shared_filters_)) {
@@ -649,11 +630,18 @@ Result<int> StreamAggEngine::AddQuery(const std::string& text) {
         "query where clause must equal the engine's shared filter (phantom "
         "sharing requires one record filter upstream of every query)");
   }
-  if (relation_name_.empty()) relation_name_ = parsed.relation;
-  return AddParsedQuery(std::move(parsed));
+  // The query's epoch and relation name become the engine's only once it
+  // is registered: a rejected add changes nothing.
+  const double epoch_seconds = parsed.epoch_seconds;
+  const std::string relation = parsed.relation;
+  STREAMAGG_ASSIGN_OR_RETURN(const int id, AddParsedQuery(std::move(parsed)));
+  if (options_.epoch_seconds == 0.0) options_.epoch_seconds = epoch_seconds;
+  if (relation_name_.empty()) relation_name_ = relation;
+  return id;
 }
 
 Result<int> StreamAggEngine::AddQuery(QueryDef def) {
+  STREAMAGG_RETURN_NOT_OK(CheckNotFinished("AddQuery"));
   if (def.group_by.empty() ||
       !def.group_by.IsSubsetOf(schema_.AllAttributes())) {
     return Status::InvalidArgument("query attributes invalid for schema");
@@ -711,42 +699,21 @@ Result<int> StreamAggEngine::AddParsedQuery(ParsedQuery parsed) {
     RecordChurnEvent(std::move(event));
     return id;
   }
-  if (catalog_ == nullptr) {
-    return Status::FailedPrecondition(
-        "online AddQuery needs statistics; give the pinned-plan engine "
-        "catalog counts or let the engine sample first");
-  }
-  // Plan before touching anything: grafting and the full-Optimize fallback
-  // are pure, so a planning failure leaves the engine exactly as it was.
-  // Grafts may spend the churn reserve (PlanningBudget(false)); the
-  // fallback re-plans everything, so it re-establishes the reserve.
-  event.grafted = true;
-  Result<OptimizedPlan> next = optimizer_.GraftQueries(
-      *catalog_, *plan_, {def}, PlanningBudget(false), &event.replanned_nodes,
-      &event.pinned_nodes);
-  if (!next.ok()) {
-    event.grafted = false;
-    std::vector<QueryDef> all = queries_;
-    all.push_back(def);
-    next = optimizer_.Optimize(*catalog_, all, PlanningBudget());
-    STREAMAGG_RETURN_NOT_OK(next.status());
-    event.replanned_nodes = next->config.num_nodes();
-    event.pinned_nodes = 0;
-  }
-  // Plan-change barrier: the epoch in flight is flushed and handed to the
-  // accumulated results for the pre-existing queries, then the re-planned
-  // runtime takes over. The newcomer accumulates from here on.
-  event.merge_millis = PlanChangeBarrier();
-  append_slot();
-  event.optimize_millis = next->optimize_millis;
-  last_optimize_millis_ = next->optimize_millis;
-  plan_ = std::make_unique<OptimizedPlan>(std::move(*next));
-  STREAMAGG_RETURN_NOT_OK(InstallRuntime());
+  // The epoch in flight is flushed for the pre-existing queries; the
+  // newcomer accumulates from the swap onward.
+  std::vector<QueryDef> next = queries_;
+  next.push_back(def);
+  STREAMAGG_ASSIGN_OR_RETURN(const PlanChange change,
+                             ChangePlan(next, nullptr, append_slot));
+  event.replanned_nodes = change.nodes;
+  event.optimize_millis = change.optimize_millis;
+  event.merge_millis = change.merge_millis;
   RecordChurnEvent(std::move(event));
   return id;
 }
 
 Status StreamAggEngine::DropQuery(int query_id) {
+  STREAMAGG_RETURN_NOT_OK(CheckNotFinished("DropQuery"));
   if (query_id < 0 || query_id >= num_query_ids()) {
     return Status::InvalidArgument("unknown query id " +
                                    std::to_string(query_id));
@@ -788,54 +755,65 @@ Status StreamAggEngine::DropQuery(int query_id) {
     return Status::OK();
   }
 
-  // Sampling phase: structural removal before any plan exists. Otherwise
-  // prune first (pure surgery; full Optimize of the survivors only if the
-  // surgery errors), then run the barrier and swap.
-  std::optional<OptimizedPlan> next;
-  if (planned()) {
-    if (catalog_ == nullptr) {
-      return Status::FailedPrecondition(
-          "online DropQuery needs statistics; give the pinned-plan engine "
-          "catalog counts or let the engine sample first");
+  // Once the barrier has run, the accumulated HFTA holds everything up to
+  // the drop: archive the slot, then erase it and shift every handle above
+  // it down. In the sampling phase no plan exists yet, so this is all.
+  const auto remove_slot = [&]() {
+    ArchiveQuery(query_id, dense, /*include_live=*/false);
+    queries_.erase(queries_.begin() + dense);
+    dense_refcount_.erase(dense_refcount_.begin() + dense);
+    for (QueryHandle& h : handles_) {
+      if (h.dense > dense) --h.dense;
     }
-    Result<OptimizedPlan> pruned = optimizer_.PruneQueries(
-        *catalog_, *plan_, {dense}, &event.pinned_nodes);
-    if (!pruned.ok()) {
-      std::vector<QueryDef> rest;
-      for (size_t i = 0; i < queries_.size(); ++i) {
-        if (static_cast<int>(i) != dense) rest.push_back(queries_[i]);
-      }
-      pruned = optimizer_.Optimize(*catalog_, rest, PlanningBudget());
-      STREAMAGG_RETURN_NOT_OK(pruned.status());
-      event.pinned_nodes = 0;
+    std::vector<int> source(queries_.size());
+    for (size_t i = 0; i < source.size(); ++i) {
+      source[i] = static_cast<int>(i) < dense ? static_cast<int>(i)
+                                              : static_cast<int>(i) + 1;
     }
-    next = std::move(*pruned);
-    event.merge_millis = PlanChangeBarrier();
-  }
-  // The accumulated HFTA now holds everything up to the drop; archive the
-  // slot, then erase it and shift every handle above it down.
-  ArchiveQuery(query_id, dense, /*include_live=*/false);
-  queries_.erase(queries_.begin() + dense);
-  dense_refcount_.erase(dense_refcount_.begin() + dense);
-  for (QueryHandle& h : handles_) {
-    if (h.dense > dense) --h.dense;
-  }
-  std::vector<int> source(queries_.size());
-  for (size_t i = 0; i < source.size(); ++i) {
-    source[i] = static_cast<int>(i) < dense ? static_cast<int>(i)
-                                            : static_cast<int>(i) + 1;
-  }
-  RemapAccumulatedHfta(source);
-  handle.dense = -1;
-  handle.dropped_epoch = current_epoch_;
-  if (next.has_value()) {
-    event.optimize_millis = next->optimize_millis;
-    last_optimize_millis_ = next->optimize_millis;
-    plan_ = std::make_unique<OptimizedPlan>(std::move(*next));
-    STREAMAGG_RETURN_NOT_OK(InstallRuntime());
+    RemapAccumulatedHfta(source);
+    handle.dense = -1;
+    handle.dropped_epoch = current_epoch_;
+  };
+  if (!planned()) {
+    remove_slot();
+  } else {
+    std::vector<QueryDef> rest = queries_;
+    rest.erase(rest.begin() + dense);
+    STREAMAGG_ASSIGN_OR_RETURN(const PlanChange change,
+                               ChangePlan(rest, nullptr, remove_slot));
+    event.replanned_nodes = change.nodes;
+    event.optimize_millis = change.optimize_millis;
+    event.merge_millis = change.merge_millis;
   }
   RecordChurnEvent(std::move(event));
   return Status::OK();
+}
+
+Result<StreamAggEngine::PlanChange> StreamAggEngine::ChangePlan(
+    const std::vector<QueryDef>& queries,
+    std::unique_ptr<RelationCatalog> catalog,
+    const std::function<void()>& edit_slots) {
+  const RelationCatalog* stats =
+      catalog != nullptr ? catalog.get() : catalog_.get();
+  if (stats == nullptr) {
+    return Status::FailedPrecondition(
+        "a live plan change needs statistics; give the pinned-plan engine "
+        "catalog counts or let the engine sample first");
+  }
+  // Optimize is pure: a failure here leaves the engine exactly as it was.
+  STREAMAGG_ASSIGN_OR_RETURN(
+      OptimizedPlan plan,
+      optimizer_.Optimize(*stats, queries, PlanningBudget()));
+  PlanChange change;
+  change.optimize_millis = plan.optimize_millis;
+  change.nodes = plan.config.num_nodes();
+  change.merge_millis = PlanChangeBarrier();
+  edit_slots();
+  if (catalog != nullptr) catalog_ = std::move(catalog);
+  last_optimize_millis_ = plan.optimize_millis;
+  plan_ = std::make_unique<OptimizedPlan>(std::move(plan));
+  STREAMAGG_RETURN_NOT_OK(InstallRuntime());
+  return change;
 }
 
 double StreamAggEngine::PlanChangeBarrier() {

@@ -1,6 +1,7 @@
 #ifndef STREAMAGG_CORE_ENGINE_H_
 #define STREAMAGG_CORE_ENGINE_H_
 
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -46,11 +47,12 @@ class StreamAggEngine {
     /// and asks AdaptiveController::AssessTrend for a sustained drift trend
     /// — `adaptive_options.trend_epochs` consecutive epochs of a table
     /// colliding beyond plan. On a trigger it re-estimates statistics from
-    /// table occupancy and re-plans only the drifted feeding trees
-    /// (Optimizer::ReplanSubtrees), swapping the runtime at the epoch
-    /// boundary. Works for any num_producers x num_shards split: sharded
-    /// engines run the check at a Quiesce barrier, where the matrix is
-    /// drained but the tables still hold the epoch's groups.
+    /// table occupancy for the drifted feeding trees (prior statistics
+    /// everywhere else) and re-optimizes the whole plan from scratch,
+    /// swapping the runtime at the epoch boundary. Works for any
+    /// num_producers x num_shards split: sharded engines run the check at a
+    /// Quiesce barrier, where the matrix is drained but the tables still
+    /// hold the epoch's groups.
     bool adaptive = false;
     AdaptiveController::Options adaptive_options;
     OptimizerOptions optimizer;
@@ -77,12 +79,6 @@ class StreamAggEngine {
     /// Per-(producer, shard) record queue capacity when the sharded
     /// runtime is engaged (num_shards > 1 or num_producers > 1).
     size_t shard_queue_capacity = 4096;
-    /// Fraction of the LFTA budget held back from the initial plan (and
-    /// from adaptive re-plans and full-Optimize churn fallbacks) so that
-    /// online AddQuery grafts have headroom to place new tables without
-    /// forcing a from-scratch rebuild (docs/query_frontend.md §4). Grafts
-    /// plan against the full budget. 0 (default) reserves nothing.
-    double churn_reserve_fraction = 0.0;
     /// Pin shard workers and producer threads to CPUs chosen by the
     /// affinity planner (util/cpu_topology.h): producers spread across
     /// NUMA nodes, each shard consumer co-located with its dominant
@@ -158,7 +154,10 @@ class StreamAggEngine {
   /// planning failure (e.g. the memory budget cannot host the tables).
   Status ProcessBatch(std::span<const Record> records);
 
-  /// Completes the current epoch (call at end of stream).
+  /// Completes the current epoch (call at end of stream). The stream is
+  /// then over: a later Process, ProcessBatch, AddQuery or DropQuery
+  /// returns FailedPrecondition and changes nothing, and a second Finish()
+  /// does nothing. Results, counters and telemetry stay readable.
   Status Finish();
 
   /// Registers a new standing query online (docs/query_frontend.md §4).
@@ -167,25 +166,29 @@ class StreamAggEngine {
   /// filter and its epoch (if it names one) must agree with the engine's.
   /// Returns a stable query id for EpochResult/Epochs/DropQuery — ids are
   /// never reused, so they stay valid across later churn. While the plan
-  /// is live, the new query is grafted into the feeding forest at a
-  /// non-flushing Quiesce barrier (Optimizer::GraftQueries), falling back
-  /// to a full re-optimize when grafting fails; a query whose (group-by,
-  /// metrics) exactly matches a live query becomes an alias — zero plan
-  /// change — while a group-by match with different metrics is rejected.
-  /// Results accumulate from the swap onward (the epoch in flight is
-  /// flushed for the pre-existing queries first).
+  /// is live, the whole query set is re-optimized from scratch and the
+  /// runtime swapped at a flushing plan-change barrier; if the optimizer
+  /// fails (e.g. ResourceExhausted: the budget cannot host the new
+  /// tables) the engine is left exactly as it was. A query whose
+  /// (group-by, metrics) exactly matches a live query becomes an alias —
+  /// zero plan change — while a group-by match with different metrics is
+  /// rejected. Results accumulate from the swap onward (the epoch in
+  /// flight is flushed for the pre-existing queries first). After Finish()
+  /// both overloads return FailedPrecondition.
   Result<int> AddQuery(const std::string& text);
 
   /// Same, from an explicit definition (no text, no filter, engine epoch).
   Result<int> AddQuery(QueryDef def);
 
-  /// Unregisters query `query_id` at a Quiesce barrier. Its results up to
+  /// Unregisters query `query_id` at a flushing barrier. Its results up to
   /// the drop are archived and stay readable through EpochResult/Epochs
   /// under the same id; its groups stop accumulating immediately (the HFTA
   /// slot is remapped away and the Add target cache invalidated). Dropping
   /// the last live query is rejected — an engine cannot run queryless.
-  /// Non-aliased drops prune the plan (Optimizer::PruneQueries) and swap
-  /// the runtime; alias drops only release the reference.
+  /// Non-aliased drops re-optimize the surviving queries from scratch (so
+  /// the freed budget is re-allocated) and swap the runtime; alias drops
+  /// only release the reference. After Finish() returns
+  /// FailedPrecondition.
   Status DropQuery(int query_id);
 
   /// Query ids handed out so far (initial queries get 0..n-1). Ids of
@@ -268,12 +271,11 @@ class StreamAggEngine {
 
   /// Epoch boundary (adaptive only): judges the telemetry history for a
   /// sustained drift trend; on a trigger, re-estimates statistics for the
-  /// drifted feeding trees from live table occupancy, retires the current
-  /// runtime (results/counters carried over), re-plans the drifted subtrees
-  /// with the rest pinned, records a ReplanEvent and swaps in the new
-  /// runtime. CaptureEpochSnapshot must run first: it appends the history
-  /// entry the trend check reads and, for sharded engines, quiesces the
-  /// matrix so the tables are safe to read.
+  /// drifted feeding trees from live table occupancy, merges them with the
+  /// prior statistics of every other relation, re-plans through ChangePlan
+  /// and records a ReplanEvent. CaptureEpochSnapshot must run first: it
+  /// appends the history entry the trend check reads and, for sharded
+  /// engines, quiesces the matrix so the tables are safe to read.
   ///
   /// Also the seat of the probe-mode policy (docs/probe_kernel.md §3): when
   /// adaptive_options.sort_enter_collision_rate <= 1.0 the same controller
@@ -307,13 +309,32 @@ class StreamAggEngine {
   static Status ValidateOptions(const Options& options);
 
   /// Registers a parsed query: alias, structural append (sampling phase),
-  /// or live graft/full-replan swap. The workhorse behind both AddQuery
+  /// or live re-plan through ChangePlan. The workhorse behind both AddQuery
   /// overloads; `parsed` must carry `def`.
   Result<int> AddParsedQuery(ParsedQuery parsed);
 
-  /// The barrier every plan change (adaptive swap, AddQuery, DropQuery)
-  /// runs before the new runtime is installed: FlushRuntime, then
-  /// TakeRuntimeResults. Returns its wall-clock (the event's merge_millis).
+  /// What a plan change cost, for the caller's ReplanEvent or
+  /// QueryChurnEvent.
+  struct PlanChange {
+    double optimize_millis = 0.0;
+    double merge_millis = 0.0;  ///< PlanChangeBarrier wall-clock.
+    int nodes = 0;              ///< Relations in the new plan.
+  };
+
+  /// The one plan-change step of the adaptive swap, AddQuery and
+  /// DropQuery. In order: optimizes `queries` from scratch under `catalog`
+  /// (catalog_ when null) — pure, so a failure, including a missing
+  /// catalog, returns with the plan, catalog, runtime, results and
+  /// counters untouched; runs PlanChangeBarrier; applies `edit_slots`, the
+  /// caller's query-slot change (it must leave queries_ equal to
+  /// `queries`); then installs the catalog, the plan and a new runtime.
+  Result<PlanChange> ChangePlan(const std::vector<QueryDef>& queries,
+                                std::unique_ptr<RelationCatalog> catalog,
+                                const std::function<void()>& edit_slots);
+
+  /// The barrier every plan change runs before the new runtime is
+  /// installed: FlushRuntime, then TakeRuntimeResults. Returns its
+  /// wall-clock (the event's merge_millis).
   double PlanChangeBarrier();
 
   /// Flushes the live runtime's epoch in flight (for a sharded runtime, a
@@ -343,15 +364,13 @@ class StreamAggEngine {
 
   /// LFTA memory the optimizer may plan for: the budget split across
   /// shards, so instantiating the plan once per shard lands on the user's
-  /// total budget. Initial plans, adaptive re-plans and full-replan churn
-  /// fallbacks keep churn_reserve_fraction in reserve; AddQuery grafts
-  /// (`with_reserve` false) may spend it.
-  double PlanningBudget(bool with_reserve = true) const {
-    const double budget =
-        options_.memory_words / static_cast<double>(options_.num_shards);
-    return with_reserve ? budget * (1.0 - options_.churn_reserve_fraction)
-                        : budget;
+  /// total budget.
+  double PlanningBudget() const {
+    return options_.memory_words / static_cast<double>(options_.num_shards);
   }
+
+  /// FailedPrecondition naming `call` once Finish() has run.
+  Status CheckNotFinished(const char* call) const;
 
   /// Feeds records that passed the shared filter: buffers the sample until
   /// it is full, then cuts the rest at epoch boundaries, runs the epoch step
@@ -420,6 +439,7 @@ class StreamAggEngine {
   std::unique_ptr<Hfta> accumulated_hfta_;  // Results across runtime swaps.
   uint64_t current_epoch_ = 0;
   bool saw_record_ = false;
+  bool finished_ = false;  // Set by Finish(); the stream is over.
   /// Timestamp of the last accepted record (the timestamp contract's floor).
   double last_timestamp_ = -std::numeric_limits<double>::infinity();
   RuntimeCounters total_counters_;

@@ -1,7 +1,5 @@
 #include "core/optimizer.h"
 
-#include <algorithm>
-#include <set>
 #include <utility>
 
 #include "util/timer.h"
@@ -75,339 +73,21 @@ Result<OptimizedPlan> Optimizer::Optimize(const RelationCatalog& catalog,
   return plan;
 }
 
-namespace {
-
-/// Maps every node of `config` to the root of its feeding tree.
-std::vector<int> TreeRoots(const Configuration& config) {
-  const int n = config.num_nodes();
-  std::vector<int> root(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    int r = i;
-    while (config.node(r).parent >= 0) r = config.node(r).parent;
-    root[static_cast<size_t>(i)] = r;
-  }
-  return root;
-}
-
-}  // namespace
-
-Result<OptimizedPlan> Optimizer::StitchReplan(
-    const RelationCatalog& catalog, const OptimizedPlan& plan,
-    const std::vector<int>& root, const std::set<int>& replanned_roots,
-    const std::vector<QueryDef>& replan_defs,
-    const std::vector<int>& replan_query_index, int num_queries_out,
-    double memory_words, int* replanned_nodes, int* pinned_nodes) const {
-  Timer timer;
-  const Configuration& config = plan.config;
-  const int n = config.num_nodes();
-  if (replan_defs.empty()) {
-    return Status::InvalidArgument("stitch needs queries to re-plan");
-  }
-  // Budget left after the pinned trees keep their allocations verbatim.
-  double pinned_memory = 0.0;
-  int pinned = 0;
-  for (int i = 0; i < n; ++i) {
-    if (replanned_roots.count(root[static_cast<size_t>(i)]) > 0) continue;
-    pinned_memory += plan.buckets[static_cast<size_t>(i)] *
-                     static_cast<double>(config.EntryWords(i));
-    ++pinned;
-  }
-  const double sub_budget = memory_words - pinned_memory;
-  if (sub_budget <= 0.0) {
-    return Status::ResourceExhausted(
-        "no residual LFTA budget for the re-planned queries (pinned trees "
-        "hold the whole allocation)");
-  }
-  STREAMAGG_ASSIGN_OR_RETURN(OptimizedPlan sub,
-                             Optimize(catalog, replan_defs, sub_budget));
-
-  // The stitch below cannot host duplicate relations: a fresh table equal
-  // to a pinned relation would collide in the configuration.
-  std::set<uint32_t> pinned_attrs;
-  for (int i = 0; i < n; ++i) {
-    if (replanned_roots.count(root[static_cast<size_t>(i)]) == 0) {
-      pinned_attrs.insert(config.node(i).attrs.mask());
-    }
-  }
-  for (const Configuration::Node& node : sub.config.nodes()) {
-    if (pinned_attrs.count(node.attrs.mask()) > 0) {
-      return Status::FailedPrecondition(
-          "re-planned sub-plan duplicates a pinned relation " +
-          config.schema().FormatAttributeSet(node.attrs));
-    }
-  }
-
-  // Stitch pinned trees and the fresh sub-plan into one configuration.
-  // Pinned nodes keep their original relative order (parents stay before
-  // children); sub-plan nodes follow with re-based indices. Query indices
-  // map through replan_query_index, so results and HFTA wiring stay stable
-  // across the swap.
-  std::vector<Configuration::Node> nodes;
-  std::vector<double> buckets;
-  nodes.reserve(static_cast<size_t>(n) + sub.config.nodes().size());
-  buckets.reserve(nodes.capacity());
-  std::vector<int> remap(static_cast<size_t>(n), -1);
-  for (int i = 0; i < n; ++i) {
-    if (replanned_roots.count(root[static_cast<size_t>(i)]) > 0) continue;
-    remap[static_cast<size_t>(i)] = static_cast<int>(nodes.size());
-    Configuration::Node node = config.node(i);
-    node.parent =
-        node.parent >= 0 ? remap[static_cast<size_t>(node.parent)] : -1;
-    node.children.clear();
-    nodes.push_back(std::move(node));
-    buckets.push_back(plan.buckets[static_cast<size_t>(i)]);
-  }
-  const int offset = static_cast<int>(nodes.size());
-  for (int i = 0; i < sub.config.num_nodes(); ++i) {
-    Configuration::Node node = sub.config.node(i);
-    node.parent = node.parent >= 0 ? node.parent + offset : -1;
-    node.children.clear();
-    if (node.is_query) {
-      node.query_index =
-          replan_query_index[static_cast<size_t>(node.query_index)];
-    }
-    nodes.push_back(std::move(node));
-    buckets.push_back(sub.buckets[static_cast<size_t>(i)]);
-  }
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    if (nodes[i].parent >= 0) {
-      nodes[static_cast<size_t>(nodes[i].parent)].children.push_back(
-          static_cast<int>(i));
-    }
-  }
-  if (replanned_nodes != nullptr) {
-    *replanned_nodes = static_cast<int>(nodes.size()) - offset;
-  }
-  if (pinned_nodes != nullptr) *pinned_nodes = pinned;
-  Configuration stitched(config.schema(), std::move(nodes), num_queries_out);
-
-  const CostModel cost_model(&catalog, collision_model_.get(), options_.cost);
-  OptimizedPlan out{std::move(stitched), std::move(buckets), 0.0, 0.0,
-                    sub.peak_load_satisfied, 0.0, std::move(sub.steps)};
-  out.per_record_cost = cost_model.PerRecordCost(out.config, out.buckets);
-  out.end_of_epoch_cost = cost_model.EndOfEpochCost(out.config, out.buckets);
-  if (options_.peak_load_limit > 0.0) {
-    out.peak_load_satisfied =
-        out.end_of_epoch_cost <= options_.peak_load_limit;
-  }
-  out.optimize_millis = timer.ElapsedMillis();
-  return out;
-}
-
 Result<OptimizedPlan> Optimizer::ReplanSubtrees(
     const RelationCatalog& catalog, const OptimizedPlan& plan,
     const std::vector<int>& drifted_nodes, double memory_words) const {
-  Timer timer;
-  const Configuration& config = plan.config;
-  const int n = config.num_nodes();
   if (drifted_nodes.empty()) {
     return Status::InvalidArgument("ReplanSubtrees needs drifted nodes");
   }
-  if (static_cast<int>(plan.buckets.size()) != n) {
+  if (static_cast<int>(plan.buckets.size()) != plan.config.num_nodes()) {
     return Status::InvalidArgument("plan buckets do not match configuration");
   }
-  // A drifted node condemns its whole feeding tree: the tree's statistics
-  // are interdependent (children aggregate the parent's evictions), so
-  // re-planning a child without its ancestors would re-size tables the
-  // optimizer never re-considered.
-  const std::vector<int> root = TreeRoots(config);
-  std::set<int> drifted_roots;
   for (int d : drifted_nodes) {
-    if (d < 0 || d >= n) {
+    if (d < 0 || d >= plan.config.num_nodes()) {
       return Status::InvalidArgument("drifted node index out of range");
     }
-    drifted_roots.insert(root[static_cast<size_t>(d)]);
   }
-  const auto full_replan = [&]() {
-    return Optimize(catalog, config.QueryDefs(), memory_words);
-  };
-  if (static_cast<int>(drifted_roots.size()) ==
-      static_cast<int>(config.RawRelations().size())) {
-    return full_replan();  // Every tree drifted: nothing to pin.
-  }
-
-  // The drifted trees' queries go back to the optimizer, everything else
-  // keeps its node and bucket allocation.
-  std::vector<QueryDef> replan_defs;
-  std::vector<int> replan_query_index;  // Original index per sub-plan query.
-  for (int i = 0; i < n; ++i) {
-    const Configuration::Node& node = config.node(i);
-    if (node.is_query &&
-        drifted_roots.count(root[static_cast<size_t>(i)]) > 0) {
-      replan_defs.emplace_back(node.attrs, node.query_metrics);
-      replan_query_index.push_back(node.query_index);
-    }
-  }
-  Result<OptimizedPlan> out =
-      StitchReplan(catalog, plan, root, drifted_roots, replan_defs,
-                   replan_query_index, config.num_queries(), memory_words,
-                   nullptr, nullptr);
-  // E.g. the residual budget cannot host the drifted queries' tables, or
-  // the fresh sub-plan duplicates a pinned relation. The adaptive path
-  // prefers a from-scratch rebuild over surfacing the failure.
-  if (!out.ok()) return full_replan();
-  out->optimize_millis = timer.ElapsedMillis();
-  return out;
-}
-
-Result<OptimizedPlan> Optimizer::GraftQueries(
-    const RelationCatalog& catalog, const OptimizedPlan& plan,
-    const std::vector<QueryDef>& added, double memory_words,
-    int* replanned_nodes, int* pinned_nodes) const {
-  Timer timer;
-  const Configuration& config = plan.config;
-  const int n = config.num_nodes();
-  if (added.empty()) {
-    return Status::InvalidArgument("GraftQueries needs queries to add");
-  }
-  if (static_cast<int>(plan.buckets.size()) != n) {
-    return Status::InvalidArgument("plan buckets do not match configuration");
-  }
-  // A tree is affected when the new query could share a table with it:
-  // some node could feed the query (superset) or sit below it in a shared
-  // phantom (subset). Affected trees are re-planned together with the new
-  // queries; disjoint trees stay pinned.
-  const std::vector<int> root = TreeRoots(config);
-  std::set<int> affected_roots;
-  for (const QueryDef& def : added) {
-    for (int i = 0; i < n; ++i) {
-      const AttributeSet& attrs = config.node(i).attrs;
-      if (attrs.IsSubsetOf(def.group_by) || def.group_by.IsSubsetOf(attrs)) {
-        affected_roots.insert(root[static_cast<size_t>(i)]);
-      }
-    }
-  }
-  if (!affected_roots.empty() &&
-      static_cast<int>(affected_roots.size()) ==
-          static_cast<int>(config.RawRelations().size())) {
-    return Status::FailedPrecondition(
-        "every feeding tree is affected by the added queries; nothing to "
-        "pin — use a full Optimize");
-  }
-
-  std::vector<QueryDef> replan_defs;
-  std::vector<int> replan_query_index;
-  for (int i = 0; i < n; ++i) {
-    const Configuration::Node& node = config.node(i);
-    if (node.is_query &&
-        affected_roots.count(root[static_cast<size_t>(i)]) > 0) {
-      replan_defs.emplace_back(node.attrs, node.query_metrics);
-      replan_query_index.push_back(node.query_index);
-    }
-  }
-  for (size_t j = 0; j < added.size(); ++j) {
-    replan_defs.push_back(added[j]);
-    replan_query_index.push_back(config.num_queries() + static_cast<int>(j));
-  }
-  Result<OptimizedPlan> out = StitchReplan(
-      catalog, plan, root, affected_roots, replan_defs, replan_query_index,
-      config.num_queries() + static_cast<int>(added.size()), memory_words,
-      replanned_nodes, pinned_nodes);
-  STREAMAGG_RETURN_NOT_OK(out.status());
-  out->optimize_millis = timer.ElapsedMillis();
-  return out;
-}
-
-Result<OptimizedPlan> Optimizer::PruneQueries(
-    const RelationCatalog& catalog, const OptimizedPlan& plan,
-    const std::vector<int>& dropped, int* pinned_nodes) const {
-  Timer timer;
-  const Configuration& config = plan.config;
-  const int n = config.num_nodes();
-  if (dropped.empty()) {
-    return Status::InvalidArgument("PruneQueries needs queries to drop");
-  }
-  if (static_cast<int>(plan.buckets.size()) != n) {
-    return Status::InvalidArgument("plan buckets do not match configuration");
-  }
-  std::set<int> drop_set;
-  for (int d : dropped) {
-    if (d < 0 || d >= config.num_queries()) {
-      return Status::InvalidArgument("dropped query index out of range");
-    }
-    drop_set.insert(d);
-  }
-  if (static_cast<int>(drop_set.size()) == config.num_queries()) {
-    return Status::InvalidArgument(
-        "cannot drop every query from a configuration");
-  }
-
-  // Demote dropped query nodes to pure phantoms, then delete subtrees left
-  // without any query. Children have larger indices, so one reverse pass
-  // discovers query-less subtrees bottom-up.
-  std::vector<Configuration::Node> work(config.nodes());
-  for (Configuration::Node& node : work) {
-    if (node.is_query && drop_set.count(node.query_index) > 0) {
-      node.is_query = false;
-      node.query_index = -1;
-      node.query_metrics.clear();
-    }
-  }
-  std::vector<bool> keep(static_cast<size_t>(n), false);
-  for (int i = n - 1; i >= 0; --i) {
-    bool has_query = work[static_cast<size_t>(i)].is_query;
-    for (int child : work[static_cast<size_t>(i)].children) {
-      has_query = has_query || keep[static_cast<size_t>(child)];
-    }
-    keep[static_cast<size_t>(i)] = has_query;
-  }
-
-  // Rebuild the node list in original order with dense query indices
-  // (original order preserved) and bottom-up metric requirements.
-  std::vector<int> new_query_index(static_cast<size_t>(config.num_queries()),
-                                   -1);
-  int next_query = 0;
-  for (int q = 0; q < config.num_queries(); ++q) {
-    if (drop_set.count(q) == 0) new_query_index[static_cast<size_t>(q)] =
-        next_query++;
-  }
-  std::vector<int> remap(static_cast<size_t>(n), -1);
-  std::vector<Configuration::Node> nodes;
-  std::vector<double> buckets;
-  for (int i = 0; i < n; ++i) {
-    if (!keep[static_cast<size_t>(i)]) continue;
-    remap[static_cast<size_t>(i)] = static_cast<int>(nodes.size());
-    Configuration::Node node = work[static_cast<size_t>(i)];
-    node.parent =
-        node.parent >= 0 ? remap[static_cast<size_t>(node.parent)] : -1;
-    node.children.clear();
-    if (node.is_query) {
-      node.query_index = new_query_index[static_cast<size_t>(node.query_index)];
-    }
-    nodes.push_back(std::move(node));
-    buckets.push_back(plan.buckets[static_cast<size_t>(i)]);
-  }
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    if (nodes[i].parent >= 0) {
-      nodes[static_cast<size_t>(nodes[i].parent)].children.push_back(
-          static_cast<int>(i));
-    }
-  }
-  // A relation must still maintain every metric any surviving descendant
-  // reports; dropped queries no longer contribute.
-  for (int i = static_cast<int>(nodes.size()) - 1; i >= 0; --i) {
-    std::vector<MetricSpec> needed = nodes[static_cast<size_t>(i)].query_metrics;
-    for (int child : nodes[static_cast<size_t>(i)].children) {
-      STREAMAGG_ASSIGN_OR_RETURN(
-          needed,
-          UnionMetrics(needed, nodes[static_cast<size_t>(child)].metrics));
-    }
-    nodes[static_cast<size_t>(i)].metrics = std::move(needed);
-  }
-  if (pinned_nodes != nullptr) *pinned_nodes = static_cast<int>(nodes.size());
-  Configuration pruned(config.schema(), std::move(nodes), next_query);
-
-  const CostModel cost_model(&catalog, collision_model_.get(), options_.cost);
-  OptimizedPlan out{std::move(pruned), std::move(buckets), 0.0, 0.0,
-                    true, 0.0, {}};
-  out.per_record_cost = cost_model.PerRecordCost(out.config, out.buckets);
-  out.end_of_epoch_cost = cost_model.EndOfEpochCost(out.config, out.buckets);
-  if (options_.peak_load_limit > 0.0) {
-    out.peak_load_satisfied =
-        out.end_of_epoch_cost <= options_.peak_load_limit;
-  }
-  out.optimize_millis = timer.ElapsedMillis();
-  return out;
+  return Optimize(catalog, plan.config.QueryDefs(), memory_words);
 }
 
 }  // namespace streamagg

@@ -2,7 +2,6 @@
 #define STREAMAGG_CORE_OPTIMIZER_H_
 
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "core/peak_load.h"
@@ -75,75 +74,17 @@ class Optimizer {
                                  const std::vector<AttributeSet>& queries,
                                  double memory_words) const;
 
-  /// Subtree-pinned re-plan for the adaptive path: re-runs the optimizer
-  /// only over the feeding trees of `plan.config` that contain a node in
-  /// `drifted_nodes` (indices into the configuration), with the remaining
-  /// trees pinned — their nodes and bucket allocations are carried into the
-  /// result verbatim, and the drifted trees' queries are re-planned inside
-  /// `memory_words` minus the pinned trees' footprint. Query indices stay
-  /// stable across the stitch. Falls back to a full Optimize when every
-  /// tree drifted, when no budget remains for the drifted queries, or when
-  /// the fresh sub-plan would duplicate a pinned relation (a configuration
-  /// cannot hold the same attribute set twice). The peak-load constraint is
-  /// enforced inside the drifted sub-plan only; `peak_load_satisfied`
-  /// reports whether the stitched whole still meets the limit.
+  /// Re-plans `plan`'s queries from scratch: checks that `drifted_nodes` is
+  /// non-empty and indexes `plan.config` and that `plan.buckets` matches
+  /// it, then returns Optimize(catalog, plan.config.QueryDefs(),
+  /// memory_words). No feeding tree is pinned; the drifted nodes only
+  /// validate. Kept for callers of the former subtree-pinned re-plan.
   Result<OptimizedPlan> ReplanSubtrees(const RelationCatalog& catalog,
                                        const OptimizedPlan& plan,
                                        const std::vector<int>& drifted_nodes,
                                        double memory_words) const;
 
-  /// Incremental query addition for online churn (ISSUE 10): grafts `added`
-  /// into `plan` by re-planning only the feeding trees the new queries can
-  /// share tables with (a tree is affected when any of its nodes is a
-  /// subset or superset of an added grouping), pinning every other tree's
-  /// nodes and buckets verbatim. Added queries receive indices
-  /// `plan.config.num_queries()`..; existing indices stay stable. Unlike
-  /// ReplanSubtrees this does NOT fall back to a full Optimize internally —
-  /// it returns an error when every tree is affected, when the residual
-  /// budget cannot host the sub-plan, or when the sub-plan would duplicate
-  /// a pinned relation, so the caller (StreamAggEngine::AddQuery) decides
-  /// whether a from-scratch rebuild is acceptable. On success
-  /// `*replanned_nodes`/`*pinned_nodes` (when non-null) report the stitch
-  /// split for telemetry.
-  Result<OptimizedPlan> GraftQueries(const RelationCatalog& catalog,
-                                     const OptimizedPlan& plan,
-                                     const std::vector<QueryDef>& added,
-                                     double memory_words,
-                                     int* replanned_nodes = nullptr,
-                                     int* pinned_nodes = nullptr) const;
-
-  /// Incremental query removal: demotes each dropped query node to a pure
-  /// phantom, deletes subtrees left without any query, recomputes node
-  /// metric requirements bottom-up, and renumbers the surviving queries
-  /// densely in their original order. Pure plan surgery — no re-optimization
-  /// and no optimizer fallback; buckets of surviving nodes are carried
-  /// verbatim and costs are re-priced under the (now smaller) node set.
-  /// Rejects dropping every query. `*pinned_nodes` (when non-null) reports
-  /// the surviving node count.
-  Result<OptimizedPlan> PruneQueries(const RelationCatalog& catalog,
-                                     const OptimizedPlan& plan,
-                                     const std::vector<int>& dropped,
-                                     int* pinned_nodes = nullptr) const;
-
  private:
-  /// Shared stitch core of ReplanSubtrees/GraftQueries: re-plans
-  /// `replan_defs` in `memory_words` minus the pinned trees' footprint and
-  /// splices the sub-plan after the pinned nodes. `root` maps each node of
-  /// `plan.config` to its tree root; trees rooted in `replanned_roots` are
-  /// replaced, all others pinned. `replan_query_index[i]` is the output
-  /// query index of sub-plan query `i`; the stitched configuration holds
-  /// `num_queries_out` queries. Errors (instead of falling back) when no
-  /// budget remains, the sub-plan fails, or it duplicates a pinned relation.
-  Result<OptimizedPlan> StitchReplan(const RelationCatalog& catalog,
-                                     const OptimizedPlan& plan,
-                                     const std::vector<int>& root,
-                                     const std::set<int>& replanned_roots,
-                                     const std::vector<QueryDef>& replan_defs,
-                                     const std::vector<int>& replan_query_index,
-                                     int num_queries_out, double memory_words,
-                                     int* replanned_nodes,
-                                     int* pinned_nodes) const;
-
   OptimizerOptions options_;
   std::unique_ptr<CollisionModel> collision_model_;
 };

@@ -107,14 +107,15 @@ struct ProducerTelemetry {
 
 /// One adaptive re-plan, as recorded by the engine at the epoch barrier
 /// where it fired: which relation's drift trend triggered it, how wide the
-/// drift was, and how much of the configuration was actually rebuilt
-/// (subtree-pinned re-plans keep the non-drifted trees' tables untouched).
+/// drift was, and the size of the re-optimized configuration.
 struct ReplanEvent {
   uint64_t epoch = 0;           ///< Epoch whose boundary triggered the swap.
   std::string trigger_relation; ///< Worst-drifting table, schema-formatted.
   double drift = 0.0;           ///< Its observed - predicted rate gap.
-  int replanned_nodes = 0;      ///< Relations rebuilt by the optimizer.
-  int pinned_nodes = 0;         ///< Relations kept from the old plan.
+  int replanned_nodes = 0;      ///< Relations in the new plan.
+  /// Always 0: every re-plan re-optimizes from scratch. Kept so that
+  /// readers of the JSON field and old snapshots still parse.
+  int pinned_nodes = 0;
   double optimize_millis = 0.0;
   /// Wall-clock of the barrier work around the swap: flushing the retiring
   /// runtime and merging its HFTA into the accumulated results.
@@ -124,20 +125,21 @@ struct ReplanEvent {
 };
 
 /// One online query-churn event (StreamAggEngine::AddQuery/DropQuery), as
-/// recorded by the engine at the Quiesce barrier where the plan swap (or
-/// alias bump) happened. Schema in docs/observability.md §query_churn.
+/// recorded by the engine at the barrier where the plan swap (or alias
+/// bump) happened. Schema in docs/observability.md §query_churn.
 struct QueryChurnEvent {
   uint64_t epoch = 0;     ///< Epoch the engine was accumulating into.
   bool add = true;        ///< true = AddQuery, false = DropQuery.
   int query_id = -1;      ///< Stable engine-assigned query id.
   std::string relation;   ///< The query's grouping, schema-formatted.
-  /// Add path taken: grafted (incremental GraftQueries), or full Optimize
-  /// fallback when false. Drops are plan surgery and report false.
+  /// Always false: every plan change re-optimizes from scratch. Kept,
+  /// like pinned_nodes, so that readers and old snapshots still parse.
   bool grafted = false;
   /// The query aliased an identical live query: no plan change at all.
   bool aliased = false;
-  int replanned_nodes = 0;  ///< Relations rebuilt for this churn event.
-  int pinned_nodes = 0;     ///< Relations carried over untouched.
+  /// Relations in the new plan (0 for aliases and sampling-phase churn).
+  int replanned_nodes = 0;
+  int pinned_nodes = 0;     ///< Always 0 (see grafted).
   double optimize_millis = 0.0;  ///< Planning wall-clock (0 for aliases).
   /// Wall-clock of the barrier work: quiescing shards, flushing the
   /// retiring runtime and merging its HFTA into the accumulated results.

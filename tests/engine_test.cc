@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <span>
 #include <string>
 #include <utility>
@@ -742,18 +743,15 @@ TEST(StreamAggEngineChurnTest, ChurnEventsExportedThroughTelemetry) {
 }
 
 TEST(StreamAggEngineChurnTest, ChurnReserveKeepsGraftHeadroom) {
-  // With a reserve the initial plan leaves budget a later graft may spend;
-  // the engine runs exactly as without one (results are checked by the
-  // differential suite — here the lifecycle and the budget accounting).
+  // No budget is held back for churn: a live AddQuery re-optimizes every
+  // query from scratch over the whole budget, and its event says so.
   const Trace trace = UniformTrace(500, 60000, 89);
   const Schema& schema = trace.schema();
-  StreamAggEngine::Options options = BaseOptions();
-  options.churn_reserve_fraction = 0.25;
   auto engine = StreamAggEngine::FromQueryDefs(
       schema,
       {QueryDef(*schema.ParseAttributeSet("AB")),
        QueryDef(*schema.ParseAttributeSet("CD"))},
-      options);
+      BaseOptions());
   ASSERT_TRUE(engine.ok());
   int added = -1;
   for (size_t i = 0; i < trace.size(); ++i) {
@@ -768,6 +766,71 @@ TEST(StreamAggEngineChurnTest, ChurnReserveKeepsGraftHeadroom) {
   ASSERT_TRUE((*engine)->Finish().ok());
   EXPECT_TRUE((*engine)->IsLive(added));
   EXPECT_FALSE((*engine)->Epochs(added).empty());
+  ASSERT_EQ((*engine)->churn_events().size(), 1u);
+  const QueryChurnEvent& event = (*engine)->churn_events().front();
+  EXPECT_FALSE(event.grafted);
+  EXPECT_EQ(event.pinned_nodes, 0);
+  EXPECT_EQ(event.replanned_nodes, (*engine)->plan()->config.num_nodes());
+}
+
+TEST(StreamAggEngineChurnTest, FailedPlanChangeLeavesEngineUnchanged) {
+  // 8 words host AB and CD at one 3-word bucket each, but no third
+  // two-attribute table: the AddQuery below cannot be planned.
+  const Trace trace = UniformTrace(300, 60000, 97);
+  const Schema& schema = trace.schema();
+  StreamAggEngine::Options options = BaseOptions();
+  options.memory_words = 8.0;
+  const std::vector<QueryDef> queries = {
+      QueryDef(*schema.ParseAttributeSet("AB")),
+      QueryDef(*schema.ParseAttributeSet("CD"))};
+  auto engine = StreamAggEngine::FromQueryDefs(schema, queries, options);
+  auto steady = StreamAggEngine::FromQueryDefs(schema, queries, options);
+  ASSERT_TRUE(engine.ok() && steady.ok());
+  const std::span<const Record> records(trace.records());
+  ASSERT_TRUE((*engine)->ProcessBatch(records.first(30001)).ok());
+  ASSERT_TRUE((*steady)->ProcessBatch(records.first(30001)).ok());
+
+  using Results = std::vector<std::map<uint64_t, EpochAggregate>>;
+  const auto results = [](const StreamAggEngine& e) {
+    Results out(static_cast<size_t>(e.num_query_ids()));
+    for (int q = 0; q < e.num_query_ids(); ++q) {
+      for (uint64_t epoch : e.Epochs(q)) {
+        out[static_cast<size_t>(q)][epoch] = e.EpochResult(q, epoch);
+      }
+    }
+    return out;
+  };
+  const std::string config = (*engine)->ConfigurationText();
+  const RuntimeCounters counters = (*engine)->counters();
+  const Results before = results(**engine);
+  ASSERT_FALSE(before[0].empty());
+
+  auto added = (*engine)->AddQuery(QueryDef(*schema.ParseAttributeSet("BC")));
+  ASSERT_FALSE(added.ok());
+  EXPECT_EQ(added.status().code(), StatusCode::kResourceExhausted)
+      << added.status().ToString();
+  // A failed text add does not adopt its relation name either: the next
+  // text may name another relation and fails only for want of memory.
+  for (const char* text : {"select B, C, count(*) from S group by B, C",
+                           "select B, D, count(*) from R group by B, D"}) {
+    added = (*engine)->AddQuery(text);
+    ASSERT_FALSE(added.ok());
+    EXPECT_EQ(added.status().code(), StatusCode::kResourceExhausted)
+        << added.status().ToString();
+  }
+  EXPECT_EQ((*engine)->ConfigurationText(), config);
+  EXPECT_TRUE((*engine)->counters() == counters);
+  EXPECT_EQ((*engine)->num_query_ids(), 2);
+  EXPECT_TRUE((*engine)->churn_events().empty());
+  EXPECT_TRUE(results(**engine) == before);
+
+  // The rest of the stream runs as if the add had never been asked for.
+  ASSERT_TRUE((*engine)->ProcessBatch(records.subspan(30001)).ok());
+  ASSERT_TRUE((*steady)->ProcessBatch(records.subspan(30001)).ok());
+  ASSERT_TRUE((*engine)->Finish().ok());
+  ASSERT_TRUE((*steady)->Finish().ok());
+  EXPECT_TRUE(results(**engine) == results(**steady));
+  EXPECT_TRUE((*engine)->counters() == (*steady)->counters());
 }
 
 TEST(StreamAggEngineChurnTest, PinnedPlanWithoutCountsRejectsLiveChurn) {
@@ -798,6 +861,70 @@ TEST(StreamAggEngineChurnTest, PinnedPlanWithoutCountsRejectsLiveChurn) {
   EXPECT_NE(dropped.ToString().find("statistics"), std::string::npos);
   EXPECT_EQ((*engine)->num_query_ids(), 2);
   EXPECT_TRUE((*engine)->IsLive(0));
+}
+
+TEST(StreamAggEngineTest, RejectsUseAfterFinish) {
+  const Trace trace = UniformTrace(500, 30000, 101);
+  const Schema& schema = trace.schema();
+  const std::vector<QueryDef> queries = {
+      QueryDef(*schema.ParseAttributeSet("AB")),
+      QueryDef(*schema.ParseAttributeSet("CD"))};
+  TraceStats stats(&trace);
+  const RelationCatalog catalog =
+      RelationCatalog::FromTrace(&stats, /*clustered=*/false);
+  Optimizer optimizer;
+  OptimizedPlan plan = *optimizer.Optimize(catalog, queries, 30000.0);
+  std::map<uint32_t, uint64_t> counts;
+  for (const char* set : {"A", "B", "C", "D", "AB", "CD", "BC"}) {
+    const AttributeSet attrs = *schema.ParseAttributeSet(set);
+    counts[attrs.mask()] = catalog.GroupCount(attrs);
+  }
+  auto pinned = StreamAggEngine::FromPinnedPlan(schema, std::move(plan),
+                                                counts, BaseOptions());
+  // A sampled engine whose sample (20000 records) is full before Finish.
+  auto sampled = StreamAggEngine::FromQueryTexts(
+      schema,
+      {"select A, B, count(*) from R group by A, B, time/2",
+       "select C, D, count(*) from R group by C, D, time/2"},
+      BaseOptions());
+  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+  ASSERT_TRUE(sampled.ok()) << sampled.status().ToString();
+
+  const std::span<const Record> records(trace.records());
+  const Record late = trace.records().back();
+  for (StreamAggEngine* engine : {pinned->get(), sampled->get()}) {
+    ASSERT_TRUE(engine->ProcessBatch(records).ok());
+    ASSERT_TRUE(engine->Finish().ok());
+    const RuntimeCounters counters = engine->counters();
+    EXPECT_EQ(counters.records, trace.size());
+    const std::vector<uint64_t> epochs = engine->Epochs(0);
+    ASSERT_FALSE(epochs.empty());
+    const EpochAggregate last = engine->EpochResult(0, epochs.back());
+
+    const auto expect_rejected = [](const Status& status) {
+      EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+          << status.ToString();
+      EXPECT_NE(status.ToString().find("after Finish()"), std::string::npos)
+          << status.ToString();
+    };
+    expect_rejected(engine->Process(late));
+    expect_rejected(engine->ProcessBatch(records.first(10)));
+    expect_rejected(
+        engine->AddQuery(QueryDef(*schema.ParseAttributeSet("BC"))).status());
+    expect_rejected(
+        engine->AddQuery("select B, C, count(*) from R group by B, C, time/2")
+            .status());
+    expect_rejected(engine->DropQuery(1));
+    // A second Finish is a no-op.
+    EXPECT_TRUE(engine->Finish().ok());
+
+    EXPECT_TRUE(engine->counters() == counters);
+    EXPECT_EQ(engine->num_query_ids(), 2);
+    EXPECT_TRUE(engine->IsLive(1));
+    EXPECT_TRUE(engine->churn_events().empty());
+    EXPECT_EQ(engine->Epochs(0), epochs);
+    EXPECT_TRUE(engine->EpochResult(0, epochs.back()) == last);
+  }
 }
 
 // --- ValidateOptions: one test per rejected combination, each message
@@ -849,36 +976,6 @@ TEST(EngineValidation, RejectsOverloadAtTelemetryOff) {
   EXPECT_NE(engine.status().ToString().find(
                 "Options::overload.enabled requires Options::telemetry_level "
                 "above kOff (got kOff)"),
-            std::string::npos)
-      << engine.status().ToString();
-}
-
-TEST(EngineValidation, RejectsNegativeChurnReserve) {
-  StreamAggEngine::Options options = BaseOptions();
-  options.churn_reserve_fraction = -0.1;
-  auto engine = StreamAggEngine::FromQueryDefs(
-      *Schema::Default(2), {QueryDef(AttributeSet::Single(0))}, options);
-  ASSERT_FALSE(engine.ok());
-  EXPECT_NE(engine.status().ToString().find(
-                "Options::churn_reserve_fraction must be in [0, 0.9] "
-                "(got -0.1)"),
-            std::string::npos)
-      << engine.status().ToString();
-}
-
-TEST(EngineValidation, RejectsOverlargeChurnReserve) {
-  // Above 0.9 the initial plan would starve; churn composes with adaptive
-  // and overload, so the range check is the only churn rejection.
-  StreamAggEngine::Options options = BaseOptions();
-  options.churn_reserve_fraction = 0.95;
-  options.adaptive = true;
-  options.overload.enabled = true;
-  auto engine = StreamAggEngine::FromQueryDefs(
-      *Schema::Default(2), {QueryDef(AttributeSet::Single(0))}, options);
-  ASSERT_FALSE(engine.ok());
-  EXPECT_NE(engine.status().ToString().find(
-                "Options::churn_reserve_fraction must be in [0, 0.9] "
-                "(got 0.95)"),
             std::string::npos)
       << engine.status().ToString();
 }

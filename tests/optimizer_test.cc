@@ -151,70 +151,7 @@ TEST(OptimizerTest, GreedySpaceStrategyWorks) {
   EXPECT_GT(plan->per_record_cost, 0.0);
 }
 
-TEST(OptimizerTest, GraftAddsQueryWithoutDisturbingPinnedTrees) {
-  auto gen = UniformGenerator::Make(*Schema::Default(4), 2000, 53);
-  ASSERT_TRUE(gen.ok());
-  const Trace trace = Trace::Generate(**gen, 100000, 10.0);
-  TraceStats stats(&trace);
-  const RelationCatalog catalog =
-      RelationCatalog::FromTrace(&stats, /*clustered=*/false);
-
-  Optimizer optimizer;
-  // The base plans under a held-back budget (the engine's
-  // churn_reserve_fraction) so the graft has residual words to place CD's
-  // tree; the graft itself sees the full budget.
-  auto base =
-      optimizer.Optimize(catalog, Queries(trace.schema(), {"AB"}), 28000.0);
-  ASSERT_TRUE(base.ok()) << base.status().ToString();
-
-  // CD shares no attribute subset/superset relation with AB's tree, so the
-  // graft pins AB's tree verbatim and plans CD beside it.
-  int replanned = 0;
-  int pinned = 0;
-  auto grafted = optimizer.GraftQueries(
-      catalog, *base, {QueryDef(*trace.schema().ParseAttributeSet("CD"))},
-      40000.0, &replanned, &pinned);
-  ASSERT_TRUE(grafted.ok()) << grafted.status().ToString();
-  EXPECT_EQ(grafted->config.num_queries(), 2);
-  EXPECT_GT(pinned, 0);
-  EXPECT_GT(replanned, 0);
-  EXPECT_EQ(grafted->config.num_nodes(), pinned + replanned);
-  // The new query lands at the next dense index; the old one keeps 0.
-  bool found_cd = false;
-  for (int i = 0; i < grafted->config.num_nodes(); ++i) {
-    const Configuration::Node& node = grafted->config.node(i);
-    if (node.is_query &&
-        node.attrs == *trace.schema().ParseAttributeSet("CD")) {
-      EXPECT_EQ(node.query_index, 1);
-      found_cd = true;
-    }
-  }
-  EXPECT_TRUE(found_cd);
-  EXPECT_GT(grafted->per_record_cost, 0.0);
-}
-
-TEST(OptimizerTest, GraftErrorsWhenEveryTreeIsAffected) {
-  auto gen = UniformGenerator::Make(*Schema::Default(4), 2000, 59);
-  ASSERT_TRUE(gen.ok());
-  const Trace trace = Trace::Generate(**gen, 80000, 8.0);
-  TraceStats stats(&trace);
-  const RelationCatalog catalog =
-      RelationCatalog::FromTrace(&stats, /*clustered=*/false);
-
-  Optimizer optimizer;
-  auto base =
-      optimizer.Optimize(catalog, Queries(trace.schema(), {"AB"}), 40000.0);
-  ASSERT_TRUE(base.ok());
-
-  // A is a subset of AB: the only tree is affected, nothing can be pinned —
-  // the caller is told to run a full Optimize instead.
-  auto grafted = optimizer.GraftQueries(
-      catalog, *base, {QueryDef(*trace.schema().ParseAttributeSet("A"))},
-      40000.0);
-  EXPECT_FALSE(grafted.ok());
-}
-
-TEST(OptimizerTest, PruneRemovesQueryAndRenumbersDensely) {
+TEST(OptimizerTest, ReplanSubtreesIsAFullOptimize) {
   auto gen = UniformGenerator::Make(*Schema::Default(4), 2000, 61);
   ASSERT_TRUE(gen.ok());
   const Trace trace = Trace::Generate(**gen, 100000, 10.0);
@@ -225,41 +162,27 @@ TEST(OptimizerTest, PruneRemovesQueryAndRenumbersDensely) {
   Optimizer optimizer;
   auto base = optimizer.Optimize(
       catalog, Queries(trace.schema(), {"AB", "BC", "CD"}), 40000.0);
-  ASSERT_TRUE(base.ok());
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  auto fresh = optimizer.Optimize(catalog, base->config.QueryDefs(), 30000.0);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
 
-  int pinned = 0;
-  auto pruned = optimizer.PruneQueries(catalog, *base, {1}, &pinned);
-  ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
-  EXPECT_EQ(pruned->config.num_queries(), 2);
-  EXPECT_EQ(pinned, pruned->config.num_nodes());
-  EXPECT_LE(pruned->config.num_nodes(), base->config.num_nodes());
-  // Survivors keep their order under dense renumbering: AB -> 0, CD -> 1.
-  for (int i = 0; i < pruned->config.num_nodes(); ++i) {
-    const Configuration::Node& node = pruned->config.node(i);
-    if (!node.is_query) continue;
-    if (node.attrs == *trace.schema().ParseAttributeSet("AB")) {
-      EXPECT_EQ(node.query_index, 0);
-    } else if (node.attrs == *trace.schema().ParseAttributeSet("CD")) {
-      EXPECT_EQ(node.query_index, 1);
-    } else {
-      ADD_FAILURE() << "unexpected query node " << i;
-    }
+  // Whichever node drifted, no tree is pinned: the result is the plan a
+  // from-scratch Optimize of the same queries gives.
+  for (int node = 0; node < base->config.num_nodes(); ++node) {
+    auto replanned = optimizer.ReplanSubtrees(catalog, *base, {node}, 30000.0);
+    ASSERT_TRUE(replanned.ok()) << replanned.status().ToString();
+    EXPECT_EQ(replanned->config.ToString(), fresh->config.ToString());
+    EXPECT_EQ(replanned->buckets, fresh->buckets);
+    EXPECT_EQ(replanned->per_record_cost, fresh->per_record_cost);
   }
-  EXPECT_GT(pruned->per_record_cost, 0.0);
-}
 
-TEST(OptimizerTest, PruneRejectsDroppingEveryQuery) {
-  auto schema = Schema::Default(2);
-  ASSERT_TRUE(schema.ok());
-  auto catalog = RelationCatalog::Synthetic(
-      *schema, {{AttributeSet::Single(0).mask(), 100},
-                {AttributeSet::Single(1).mask(), 100}});
-  ASSERT_TRUE(catalog.ok());
-  Optimizer optimizer;
-  auto base = optimizer.Optimize(
-      *catalog, Queries(*schema, {"A", "B"}), 20000.0);
-  ASSERT_TRUE(base.ok());
-  EXPECT_FALSE(optimizer.PruneQueries(*catalog, *base, {0, 1}).ok());
+  // Argument checks: empty or out-of-range drifted nodes are rejected.
+  EXPECT_FALSE(optimizer.ReplanSubtrees(catalog, *base, {}, 30000.0).ok());
+  EXPECT_FALSE(optimizer.ReplanSubtrees(catalog, *base, {-1}, 30000.0).ok());
+  EXPECT_FALSE(optimizer
+                   .ReplanSubtrees(catalog, *base,
+                                   {base->config.num_nodes()}, 30000.0)
+                   .ok());
 }
 
 TEST(OptimizerTest, FailsWithoutQueries) {
